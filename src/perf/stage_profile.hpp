@@ -11,14 +11,14 @@
 // samples per stage for percentiles — O(1) doubles per batch, no
 // allocation after construction — so it stays on in production serving.
 //
-// Attribution convention: profiles recorded from aggregate PartTimes
-// (serial / multi-worker modes) map the buckets memory -> MemoryUpdate,
-// sample -> NeighborGather, gnn -> GnnCompute, update -> Decode. The
-// batched GNN gather is charged to the gnn bucket by PartTimes even though
-// it executes inside the NeighborGather stage, so bucket profiles shift
-// some gather time into GnnCompute versus the stage-wall times the
-// pipelined scheduler records; the cost model only needs the sum and the
-// max, and the calibration tests pin the resulting error.
+// Attribution convention: on a staged backend (cpu, cpu-mt, sharded-cpu)
+// every scheduler mode times each stage at its boundary — the wall time of
+// one StagedBackend::run_stage call — so a stage name means the same work
+// in serial, lane and pipelined serving (the batched GNN gather counts in
+// NeighborGather, where it runs). Only the non-staged modelled backends
+// (gpu-sim, apan, fpga) report PartTimes buckets instead, mapped memory ->
+// MemoryUpdate, sample -> NeighborGather, gnn -> GnnCompute, update ->
+// Decode.
 #pragma once
 
 #include <array>

@@ -111,8 +111,8 @@ class CpuBackend final : public Backend, public StagedBackend {
         std::max(1, runner_.threads() / std::max(1, concurrent)));
     runner_.engine().stage_run(s, slots_.at(slot));
   }
-  void finish_batch(std::size_t slot) override {
-    (void)runner_.engine().stage_finish(slots_.at(slot));
+  std::size_t finish_batch(std::size_t slot) override {
+    return runner_.engine().stage_finish(slots_.at(slot)).nodes.size();
   }
   void abort_batch(std::size_t slot) override {
     runner_.engine().stage_abort(slots_.at(slot));

@@ -101,47 +101,16 @@ class Backend {
   [[nodiscard]] virtual core::RuntimeState* runtime_state() { return nullptr; }
 };
 
-/// A backend that can execute several batches CONCURRENTLY over one shared
-/// vertex state, provided the batches' vertex footprints are disjoint — the
-/// contract the multi-worker ServingEngine schedules against ("sharded-cpu"
-/// implements it; see DESIGN.md "The shard layer").
-///
-/// The caller (one scheduler thread) guarantees that two batches in flight
-/// on different lanes never overlap in the vertices they WRITE (their edge
-/// endpoints); the backend in turn guarantees that the remaining shared
-/// access — reading a sampled neighbor's memory row — is race-free (shard
-/// locks). Per-vertex state writes therefore stay chronological: batches
-/// touching the same vertex are serialized in dispatch (= stream) order.
-class ConcurrentBackend : public Backend {
- public:
-  /// Number of independent execution lanes (each with its own workspace).
-  [[nodiscard]] virtual std::size_t lanes() const = 0;
-
-  /// process_batch, on a specific lane. Distinct lanes may run in parallel
-  /// from different threads; the same lane must never run twice at once.
-  virtual BatchOutput process_batch_on(
-      std::size_t lane, const graph::BatchRange& r,
-      std::span<const graph::NodeId> extra_nodes = {}) = 0;
-
-  /// Vertices the batch will READ beyond its own endpoints: the sampled
-  /// temporal neighbors of every endpoint, from current state. Only safe to
-  /// call while no in-flight batch writes r's endpoints (their neighbor
-  /// rows are then quiescent) — the deterministic serving mode's exact-
-  /// footprint query.
-  virtual void read_footprint(const graph::BatchRange& r,
-                              std::vector<graph::NodeId>& out) const = 0;
-};
-
 /// A backend whose engine exposes the staged pipeline (core::Stage): the
 /// serving layer can run stage k of batch i concurrently with stage k-1 of
 /// batch i+1 — the software port of the paper's hardware dataflow, where
 /// the memory-update unit, embedding unit, and decoder overlap consecutive
 /// event batches across bounded FIFOs.
 ///
-/// A slot is one in-flight batch's StageContext. The caller (one pipelined
+/// A slot is one in-flight batch's StageContext. The caller (one
 /// ServingEngine) drives each slot through begin_batch -> run_stage(each
 /// Stage, in order) -> finish_batch, and guarantees:
-///   * a slot is driven by one thread at a time (handoffs between stage
+///   * a slot is driven by one thread at a time (handoffs between
 ///     workers are synchronized),
 ///   * in-flight batches' WRITE footprints (edge endpoints) are pairwise
 ///     disjoint, and — unless race_free_reads() — their READ footprints
@@ -149,9 +118,10 @@ class ConcurrentBackend : public Backend {
 /// Under that contract, concurrent run_stage calls on distinct slots are
 /// data-race-free and per-vertex state writes stay chronological.
 ///
-/// Implemented by "cpu", "cpu-mt" (read-tracked admission), and
-/// "sharded-cpu" (whose shard locks make relaxed reads race-free — its
-/// lanes compose with pipelining by mapping slots onto lanes).
+/// Every ServingEngine mode drives these calls: a slot is served by one
+/// worker per visit, whatever stage range the visit runs. Implemented by
+/// "cpu", "cpu-mt" (read-tracked admission), and "sharded-cpu" (whose shard
+/// locks make relaxed reads race-free; slot i runs on lane i % lanes()).
 class StagedBackend {
  public:
   virtual ~StagedBackend() = default;
@@ -168,8 +138,9 @@ class StagedBackend {
   virtual void begin_batch(std::size_t slot, const graph::BatchRange& r) = 0;
   /// Execute one pipeline stage of the batch bound to `slot`.
   virtual void run_stage(core::Stage s, std::size_t slot) = 0;
-  /// Release the slot's per-batch result; the slot is then reusable.
-  virtual void finish_batch(std::size_t slot) = 0;
+  /// Release the slot's per-batch result and return its unique-vertex
+  /// count (the profiler's fan-out signal); the slot is then reusable.
+  virtual std::size_t finish_batch(std::size_t slot) = 0;
   /// Abandon the slot's batch after a faulted stage: release its pin
   /// window and clear the context. Legal at any point before kDecode has
   /// run — stages 0..2 write only the slot's context, so an aborted batch
@@ -192,12 +163,25 @@ class StagedBackend {
 
   /// Hint that `nodes`' vertex-state pages will be touched by a batch that
   /// just passed admission: an out-of-core store faults them in ahead of
-  /// the stage that reads them (the pipelined scheduler calls this with
-  /// the write + read footprints it already computed). Purely advisory —
+  /// the stage that reads them (a multi-slot engine calls this with the
+  /// write + read footprints it already computed). Purely advisory —
   /// default no-op, and a no-op on all-resident state.
   virtual void prefetch_rows(std::span<const graph::NodeId> nodes) {
     (void)nodes;
   }
+};
+
+/// A StagedBackend whose slots may run whole batches concurrently: up to
+/// lanes() slots, each on its own execution lane (own workspace), over one
+/// shared vertex state — the contract a multi-worker ServingEngine
+/// schedules against ("sharded-cpu"; see DESIGN.md "The shard layer"). On
+/// top of the StagedBackend contract the backend guarantees that reading a
+/// sampled neighbor's memory row another lane writes is race-free (shard
+/// locks).
+class ConcurrentBackend : public Backend, public StagedBackend {
+ public:
+  /// Number of independent execution lanes (each with its own workspace).
+  [[nodiscard]] virtual std::size_t lanes() const = 0;
 };
 
 /// Per-key construction knobs. `model` and `ds` passed to make_backend must

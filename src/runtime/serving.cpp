@@ -4,9 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 
 #include "kernels/quant.hpp"
 #include "perf/auto_tuner.hpp"
@@ -21,16 +21,10 @@ namespace {
 /// Lanes actually usable: opts.workers clamped to the backend's lane count
 /// (1 when the backend has no concurrent contract).
 std::size_t resolve_workers(const ServingOptions& opts,
-                            const ConcurrentBackend* cb) {
+                            const Backend& backend) {
+  const auto* cb = dynamic_cast<const ConcurrentBackend*>(&backend);
   if (opts.workers <= 1 || cb == nullptr) return 1;
   return std::min(opts.workers, cb->lanes());
-}
-
-/// True when no id is marked in the conflict ledger.
-bool disjoint(const std::vector<graph::NodeId>& ids,
-              const std::vector<std::uint32_t>& marks) {
-  return std::all_of(ids.begin(), ids.end(),
-                     [&](graph::NodeId v) { return marks[v] == 0; });
 }
 
 /// The batch's WRITE footprint: its edge endpoints, deduplicated, straight
@@ -88,48 +82,22 @@ std::string ServingStats::describe() const {
   return out;
 }
 
-void audit_disjoint_footprints(
-    std::span<const std::span<const graph::NodeId>> footprints) {
-  std::unordered_set<graph::NodeId> seen;
-  std::size_t total = 0;
-  for (const auto& fp : footprints) total += fp.size();
-  seen.reserve(total);
-  for (const auto& fp : footprints)
-    for (const graph::NodeId v : fp)
-      TGNN_CHECK(seen.insert(v).second,
-                 "hazard audit: vertex " + std::to_string(v) +
-                     " appears in two in-flight footprints");
-}
-
-void ServingEngine::audit_in_flight_footprints() const {
-  std::vector<std::span<const graph::NodeId>> occupied;
-  occupied.reserve(slot_meta_.size());
-  for (const SlotMeta& meta : slot_meta_)
-    if (!meta.wfp.empty()) occupied.push_back(meta.wfp);
-  // Cross-check the occupancy notion against the free-slot list before the
-  // disjointness pass: every slot is either free or holds a footprint.
-  TGNN_CHECK(occupied.size() + free_lanes_.size() == slot_meta_.size(),
-             "hazard audit: occupied slots + free slots != pipeline depth");
-  audit_disjoint_footprints(occupied);
-}
-
 ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
     : backend_(backend),
-      concurrent_(dynamic_cast<ConcurrentBackend*>(&backend)),
-      staged_(opts.pipelined ? dynamic_cast<StagedBackend*>(&backend)
-                             : nullptr),
+      staged_(dynamic_cast<StagedBackend*>(&backend)),
       opts_(opts),
-      workers_(resolve_workers(opts, concurrent_)),
+      workers_(resolve_workers(opts, backend)),
       base_max_wait_s_(opts.max_wait_s),
       hw_threads_(std::max<std::size_t>(
           1, std::thread::hardware_concurrency())),
-      pool_(1 + (workers_ > 1 ? workers_ : 0) +
-            (opts.pipelined ? core::kNumStages : 0)) {
+      pool_(1 + (opts.pipelined ? core::kNumStages
+                                 : (workers_ > 1 ? workers_ : 0))) {
   if (opts_.max_batch == 0)
     throw std::invalid_argument("ServingEngine: max_batch must be > 0");
   if (opts_.queue_capacity == 0)
     throw std::invalid_argument("ServingEngine: queue_capacity must be > 0");
-  if (opts_.workers > 1 && concurrent_ == nullptr)
+  if (opts_.workers > 1 &&
+      dynamic_cast<ConcurrentBackend*>(&backend_) == nullptr)
     throw std::invalid_argument(
         "ServingEngine: workers > 1 requires a ConcurrentBackend "
         "(e.g. \"sharded-cpu\"); backend '" +
@@ -182,32 +150,46 @@ ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
     if (opts_.pipeline_depth == 0)
       throw std::invalid_argument(
           "ServingEngine: pipeline_depth must be > 0");
-    // A backend without internally synchronized cross-batch reads cannot
-    // run relaxed admission safely — track read footprints regardless of
-    // the requested policy (which also makes execution deterministic).
-    track_reads_ = opts_.deterministic || !staged_->race_free_reads();
-    staged_->prepare_pipeline(opts_.pipeline_depth, opts_.max_batch);
-
-    // Conflict ledger + slot pool + inter-stage FIFOs (capacity 1: classic
-    // pipeline registers — a stage stalls until its successor drains). The
-    // workers don't exist yet, but initializing the guarded ledger under
-    // the lock keeps every write inside the capability.
-    const auto& g = backend_.dataset().graph;
-    {
-      util::MutexLock lk(mu_);
-      write_marks_.assign(g.num_nodes(), 0);
-      full_marks_.assign(g.num_nodes(), 0);
-      for (std::size_t s = opts_.pipeline_depth; s-- > 0;)
-        free_lanes_.push_back(s);
-      slot_meta_.assign(opts_.pipeline_depth, SlotMeta{});
-    }
-    stage_q_.reserve(core::kNumStages);
-    for (std::size_t k = 0; k < core::kNumStages; ++k)
-      stage_q_.push_back(std::make_unique<StageChannel<std::size_t>>(1));
-    for (std::size_t k = 0; k < core::kNumStages; ++k)
-      pool_.submit([this, k] { stage_worker(k); });
   }
-  pool_.submit([this] { scheduler_loop(); });
+
+  // The shape (DESIGN.md §2): S slots, and nodes of workers that each run a
+  // stage range [first, last) of one slot per visit. Serial is one slot and
+  // one [0,4) worker; lanes are W slots and W [0,4) workers; the pipeline is
+  // D slots and four single-stage workers over capacity-1 channels (classic
+  // pipeline registers: a stage stalls until its successor drains).
+  const std::size_t slots = opts_.pipelined ? opts_.pipeline_depth : workers_;
+  if (opts_.pipelined) {
+    for (std::size_t k = 0; k < core::kNumStages; ++k)
+      nodes_.push_back(std::make_unique<Node>(k, k + 1, 1, 1));
+  } else {
+    nodes_.push_back(
+        std::make_unique<Node>(0, core::kNumStages, slots, slots));
+  }
+  // One slot and one node: the admitter is the node's worker, so serial
+  // serving runs on one thread, as a plain loop would.
+  inline_worker_ = slots == 1 && nodes_.size() == 1;
+  // One slot needs no hazard check. With more, a backend without
+  // internally synchronized cross-batch reads cannot run relaxed admission
+  // safely: track read footprints regardless of the requested policy
+  // (which also makes execution deterministic).
+  track_hazards_ = slots > 1;
+  track_reads_ = track_hazards_ &&
+                 (opts_.deterministic || !staged_->race_free_reads());
+  if (staged_ != nullptr) staged_->prepare_pipeline(slots, opts_.max_batch);
+  {
+    // The workers don't exist yet, but initializing the guarded state under
+    // the lock keeps every write inside the capability.
+    util::MutexLock lk(mu_);
+    if (track_hazards_)
+      ledger_ = HazardLedger(backend_.dataset().graph.num_nodes());
+    for (std::size_t s = slots; s-- > 0;) free_slots_.push_back(s);
+    slot_meta_.assign(slots, SlotMeta{});
+  }
+  if (!inline_worker_)
+    for (std::size_t n = 0; n < nodes_.size(); ++n)
+      for (std::size_t w = 0; w < nodes_[n]->workers; ++w)
+        pool_.submit([this, n] { worker_loop(n); });
+  pool_.submit([this] { admit_loop(); });
 }
 
 ServingEngine::~ServingEngine() { stop(); }
@@ -568,173 +550,43 @@ bool ServingEngine::run_with_retries(const std::function<void()>& op) {
   }
 }
 
-void ServingEngine::scheduler_loop() {
-  if (staged_ != nullptr) {
-    scheduler_loop_pipelined();
-    return;
-  }
-  if (workers_ > 1) {
-    scheduler_loop_parallel();
-    return;
-  }
-  graph::BatchRange range;
-  std::vector<double> arrivals;
-  util::MutexLock lk(mu_);
-  while (next_batch(lk, range, arrivals)) {
-    batches_.push_back(range);
-    executing_ = 1;
-    peak_executing_ = std::max(peak_executing_, executing_);
-    lk.unlock();
-    const double dispatch_s = clock_.seconds();
-    BatchOutput out;
-    const bool ok = run_with_retries([&] {
-      util::fault_point(util::FaultSite::kStageExec);
-      out = backend_.process_batch(range);
-    });
-    lk.lock();
-    executing_ = 0;
-    if (ok) {
-      record_stage_sample(stage_array(out.parts), range,
-                          out.functional.nodes.size());
-      record_batch(range, arrivals, dispatch_s, out.latency_s);
-    } else {
-      fail_batch(range);
-    }
-  }
-}
-
-void ServingEngine::scheduler_loop_parallel() {
-  ConcurrentBackend& cb = *concurrent_;
+void ServingEngine::admit_loop() {
+  // The one admitter: micro-batches are formed in stream order, pass the
+  // hazard check head-of-line, and enter the first node. Together with
+  // serial per-node stage order this keeps per-vertex state writes
+  // chronological, and with read tracking no in-flight batch ever observes
+  // another's effects: bit-identical to the serial path.
   const auto& g = backend_.dataset().graph;
-
   graph::BatchRange range;
   std::vector<double> arrivals;
   std::vector<graph::NodeId> wfp, rfp;
   util::MutexLock lk(mu_);
-  write_marks_.assign(g.num_nodes(), 0);
-  full_marks_.assign(g.num_nodes(), 0);
-  free_lanes_.clear();
-  for (std::size_t l = 0; l < workers_; ++l) free_lanes_.push_back(l);
   while (next_batch(lk, range, arrivals)) {
-    write_footprint(g, range, wfp);
-
-    // Head-of-line admission, stage 1: a free lane, and our writes touch
-    // nothing any in-flight batch reads or writes. In-flight work only
-    // shrinks while we wait (this thread is the only dispatcher), so the
-    // predicate is stable once satisfied.
-    while (free_lanes_.empty() || !disjoint(wfp, full_marks_))
+    // Stage 1: a free slot, and our writes touch nothing any in-flight
+    // batch reads or writes. In-flight work only shrinks while we wait
+    // (this thread is the only admitter), so the predicate is stable once
+    // satisfied. One slot needs no footprint at all.
+    if (track_hazards_) write_footprint(g, range, wfp);
+    while (free_slots_.empty() || !ledger_.writes_clear(wfp))
       cv_state_.wait(lk);
-
-    // Stage 2 (deterministic mode): the READ footprint — sampled neighbors
-    // of our endpoints. Stage 1 guarantees no in-flight batch writes our
+    // Stage 2 (read tracking): the READ footprint, sampled neighbors of our
+    // endpoints. Stage 1 guarantees no in-flight batch writes our
     // endpoints, so their neighbor rows are quiescent and reading them
-    // off-lock is safe. Dispatch once no in-flight batch writes anything
-    // we will read; the result is bit-identical to serial execution.
-    if (opts_.deterministic) {
-      lk.unlock();
-      cb.read_footprint(range, rfp);
-      lk.lock();
-      while (!disjoint(rfp, write_marks_)) cv_state_.wait(lk);
-    } else {
-      rfp.clear();
-    }
-
-    const std::size_t lane = free_lanes_.back();
-    free_lanes_.pop_back();
-    for (graph::NodeId v : wfp) {
-      ++write_marks_[v];
-      ++full_marks_[v];
-    }
-    for (graph::NodeId v : rfp) ++full_marks_[v];
-    batches_.push_back(range);
-    ++executing_;
-    peak_executing_ = std::max(peak_executing_, executing_);
-    const double dispatch_s = clock_.seconds();
-
-    lk.unlock();
-    pool_.submit([this, &cb, lane, range, wfp, rfp, dispatch_s,
-                  batch_arrivals = arrivals] {
-      BatchOutput out;
-      const bool ok = run_with_retries([&] {
-        util::fault_point(util::FaultSite::kStageExec);
-        out = cb.process_batch_on(lane, range);
-      });
-      util::MutexLock done_lk(mu_);
-      for (graph::NodeId v : wfp) {
-        TGNN_DCHECK(write_marks_[v] > 0, "write-mark release underflow");
-        --write_marks_[v];
-        --full_marks_[v];
-      }
-      for (graph::NodeId v : rfp) --full_marks_[v];
-      free_lanes_.push_back(lane);
-      --executing_;
-      if (ok) {
-        // The write footprint is the batch's unique endpoints — exactly
-        // the fan-out signal the profiler wants.
-        record_stage_sample(stage_array(out.parts), range, wfp.size());
-        record_batch(range, batch_arrivals, dispatch_s, out.latency_s);
-      } else {
-        fail_batch(range);
-      }
-    });
-    lk.lock();
-  }
-}
-
-void ServingEngine::scheduler_loop_pipelined() {
-  // The admitter of the staged dataflow pipeline. Micro-batches are formed
-  // in stream order exactly as in serial mode; each then enters the
-  // four-stage pipeline once the hazard check clears, and the stage
-  // workers carry it MemoryUpdate -> NeighborGather -> GnnCompute ->
-  // Decode over the bounded StageChannels. Because admission is
-  // head-of-line and every stage worker is serial, batches traverse every
-  // stage in stream order — combined with write-footprint disjointness
-  // this keeps per-vertex state writes chronological, and with read
-  // tracking (track_reads_) no in-flight batch ever observes another's
-  // effects: bit-identical to the serial path.
-  StagedBackend& sb = *staged_;
-  const auto& g = backend_.dataset().graph;
-
-  graph::BatchRange range;
-  std::vector<double> arrivals;
-  std::vector<graph::NodeId> wfp, rfp;
-  util::MutexLock lk(mu_);
-  while (next_batch(lk, range, arrivals)) {
-    write_footprint(g, range, wfp);
-
-    // Admission, stage 1: a free pipeline slot, and our writes touch
-    // nothing any in-flight batch reads or writes. In-flight work only
-    // shrinks while we wait (this thread is the only admitter), so the
-    // predicate is stable once satisfied.
-    while (free_lanes_.empty() || !disjoint(wfp, full_marks_))
-      cv_state_.wait(lk);
-
-    // Admission, stage 2 (read tracking): the READ footprint — sampled
-    // neighbors of our endpoints. Stage 1 guarantees no in-flight batch
-    // writes our endpoints, so their neighbor rows are quiescent and
-    // reading them off-lock is safe. Enter once no in-flight batch writes
-    // anything we will read.
+    // off-lock is safe. Enter once nothing in flight writes what we read.
     if (track_reads_) {
       lk.unlock();
-      sb.read_footprint(range, rfp);
+      staged_->read_footprint(range, rfp);
       lk.lock();
-      while (!disjoint(rfp, write_marks_)) cv_state_.wait(lk);
-    } else {
-      rfp.clear();
+      while (!ledger_.reads_clear(rfp)) cv_state_.wait(lk);
     }
-
-    const std::size_t slot = free_lanes_.back();
-    free_lanes_.pop_back();
-    for (graph::NodeId v : wfp) {
-      ++write_marks_[v];
-      ++full_marks_[v];
-    }
-    for (graph::NodeId v : rfp) ++full_marks_[v];
+    if (track_hazards_) ledger_.acquire(wfp, rfp);
+    const std::size_t slot = free_slots_.back();
+    free_slots_.pop_back();
     batches_.push_back(range);
     ++executing_;
     peak_executing_ = std::max(peak_executing_, executing_);
-    // Swap, don't copy: the admission loop rebuilds wfp/rfp/arrivals from
-    // scratch each iteration, and this runs under the engine-wide mutex.
+    // Swap, don't copy: the loop rebuilds wfp/rfp/arrivals each batch, and
+    // this runs under the engine-wide mutex.
     SlotMeta& meta = slot_meta_[slot];
     meta.wfp.swap(wfp);
     meta.rfp.swap(rfp);
@@ -742,37 +594,115 @@ void ServingEngine::scheduler_loop_pipelined() {
     meta.range = range;
     meta.dispatch_s = clock_.seconds();
     meta.stage_s.fill(0.0);
-    if constexpr (util::kCheckedBuild) audit_in_flight_footprints();
 
     lk.unlock();
-    // Out-of-core prefetch, one stage early: the admitted batch's write
-    // footprint (its endpoints) and — when read tracking already computed
-    // it — the rows it will read are faulted in now, while predecessor
-    // batches still occupy the pipeline ahead of it. No-op on an
-    // all-resident store.
-    sb.prefetch_rows(meta.wfp);
-    if (!meta.rfp.empty()) sb.prefetch_rows(meta.rfp);
-    // Pipeline entry runs under the same retry envelope as the stages:
-    // begin_batch reads only the immutable stream, and the handoff into
-    // the first FIFO is a fault site of its own. A permanent fault here
-    // aborts the batch before any stage ran.
-    bool ok = run_with_retries([&] {
-      util::fault_point(util::FaultSite::kStageExec);
-      sb.begin_batch(slot, range);
-    });
-    if (ok)
-      ok = run_with_retries(
-          [] { util::fault_point(util::FaultSite::kChannelHandoff); });
-    if (ok)
-      stage_q_[0]->push(slot);  // stalls while the first stage is busy
-    else
+    // Until the push, the claimed slot is this thread's alone.
+    bool entered = true;
+    if (staged_ != nullptr) {
+      // Out-of-core prefetch, one stage early: the admitted batch's
+      // footprints are faulted in while its predecessors still occupy the
+      // workers. No-op on an all-resident store.
+      if (track_hazards_) {
+        staged_->prefetch_rows(meta.wfp);
+        if (!meta.rfp.empty()) staged_->prefetch_rows(meta.rfp);
+      }
+      // begin_batch reads only the immutable stream; if it throws, the
+      // batch fails before any stage ran.
+      entered = run_with_retries([&] { staged_->begin_batch(slot, range); });
+    }
+    if (!entered)
       abort_slot(slot);
+    else if (inline_worker_)
+      run_visit(0, slot);  // the next batch forms after this one completed
+    else
+      nodes_.front()->in.push(slot);  // stalls while the first node is full
     lk.lock();
   }
-  // Stream over (stop with an empty queue): close the pipe; the close
-  // cascades stage by stage once each worker has drained its input, so
-  // everything mid-pipeline still completes in order.
-  stage_q_[0]->close();
+  // Stream over (stop with an empty queue): close the first node's input;
+  // the close cascades node by node once each has drained, so everything
+  // in flight still completes in order.
+  nodes_.front()->in.close();
+}
+
+void ServingEngine::worker_loop(std::size_t n) {
+  Node& node = *nodes_[n];
+  while (const std::optional<std::size_t> slot = node.in.pop())
+    run_visit(n, *slot);
+  // The node's last worker to exit closes the next node's input.
+  if (node.live.fetch_sub(1) == 1 && n + 1 < nodes_.size())
+    nodes_[n + 1]->in.close();
+}
+
+void ServingEngine::run_visit(std::size_t n, std::size_t slot) {
+  const Node& node = *nodes_[n];
+  graph::BatchRange range;  // the plain-Backend path runs by range
+  if (staged_ == nullptr) {
+    util::MutexLock lk(mu_);
+    range = slot_meta_[slot].range;
+  }
+  // Stage times are taken at the stage boundaries, in every shape.
+  std::array<double, core::kNumStages> stage_s{};
+  BatchOutput plain;
+  // One fault check per visit, ahead of the work: a transient retry never
+  // re-runs a half-run stage; a permanent fault aborts the batch.
+  const bool ran = run_with_retries([&] {
+    util::fault_point(util::FaultSite::kStageExec);
+    if (staged_ == nullptr) {
+      plain = backend_.process_batch(range);
+      return;
+    }
+    for (std::size_t k = node.first; k < node.last; ++k) {
+      const double t0 = clock_.seconds();
+      staged_->run_stage(static_cast<core::Stage>(k), slot);
+      stage_s[k] = clock_.seconds() - t0;
+    }
+  });
+  if (!ran) {
+    abort_slot(slot);
+    return;
+  }
+  if (node.last == core::kNumStages) {
+    complete_slot(slot, stage_s, plain);
+    return;
+  }
+  {
+    util::MutexLock lk(mu_);
+    SlotMeta& meta = slot_meta_[slot];
+    for (std::size_t k = 0; k < core::kNumStages; ++k)
+      meta.stage_s[k] += stage_s[k];
+  }
+  // The handoff to the next node is a fault site of its own: the software
+  // analogue of a dropped FIFO beat between hardware modules.
+  if (run_with_retries(
+          [] { util::fault_point(util::FaultSite::kChannelHandoff); }))
+    nodes_[n + 1]->in.push(slot);
+  else
+    abort_slot(slot);
+}
+
+void ServingEngine::complete_slot(
+    std::size_t slot, const std::array<double, core::kNumStages>& stage_s,
+    const BatchOutput& plain) {
+  // Decode committed the batch's writes; release the backend's result.
+  const std::size_t unique_vertices = staged_ != nullptr
+                                          ? staged_->finish_batch(slot)
+                                          : plain.functional.nodes.size();
+  const double done_s = clock_.seconds();  // before waiting for the lock
+  util::MutexLock lk(mu_);
+  SlotMeta& meta = slot_meta_[slot];
+  double service_s = plain.latency_s;
+  if (staged_ == nullptr) {
+    meta.stage_s = stage_array(plain.parts);
+  } else {
+    for (std::size_t k = 0; k < core::kNumStages; ++k)
+      meta.stage_s[k] += stage_s[k];
+    // Admission to completion (inter-node queueing included), so
+    // percentiles describe what a request actually saw.
+    service_s = done_s - meta.dispatch_s;
+  }
+  record_stage_sample(meta.stage_s, meta.range, unique_vertices);
+  record_batch(meta.range, meta.arrivals, meta.dispatch_s, service_s);
+  release_slot_locked(slot);
 }
 
 void ServingEngine::abort_slot(std::size_t slot) {
@@ -780,85 +710,20 @@ void ServingEngine::abort_slot(std::size_t slot) {
   // scratch. Stages before Decode write only the slot's context, so no
   // persistent state was committed — per-vertex chronology is intact and
   // the stream simply continues past the failed batch.
-  staged_->abort_batch(slot);
+  if (staged_ != nullptr) staged_->abort_batch(slot);
   util::MutexLock lk(mu_);
+  fail_batch(slot_meta_[slot].range);
+  release_slot_locked(slot);
+}
+
+void ServingEngine::release_slot_locked(std::size_t slot) {
   SlotMeta& meta = slot_meta_[slot];
-  for (graph::NodeId v : meta.wfp) {
-    TGNN_DCHECK(write_marks_[v] > 0, "write-mark release underflow");
-    --write_marks_[v];
-    --full_marks_[v];
-  }
-  for (graph::NodeId v : meta.rfp) --full_marks_[v];
-  fail_batch(meta.range);
+  if (track_hazards_) ledger_.release(meta.wfp, meta.rfp);
   meta.wfp.clear();
   meta.rfp.clear();
   meta.arrivals.clear();
-  free_lanes_.push_back(slot);
+  free_slots_.push_back(slot);
   --executing_;
-}
-
-void ServingEngine::stage_worker(std::size_t k) {
-  StagedBackend& sb = *staged_;
-  while (auto slot = stage_q_[k]->pop()) {
-    // The stage body is a fault site: transient faults are retried before
-    // the stage runs (the fault point precedes the work, so a retry never
-    // re-executes a half-run stage); a permanent fault aborts the batch.
-    const double stage_begin_s = clock_.seconds();
-    const bool ran = run_with_retries([&] {
-      util::fault_point(util::FaultSite::kStageExec);
-      sb.run_stage(static_cast<core::Stage>(k), *slot);
-    });
-    const double stage_s = clock_.seconds() - stage_begin_s;
-    if (!ran) {
-      abort_slot(*slot);
-      continue;
-    }
-    if (k + 1 < core::kNumStages) {
-      // Bank this stage's wall time for the profiler record Decode will
-      // make. One short lock per stage per batch — microseconds against
-      // stage times themselves, and the annotation scheme keeps every
-      // SlotMeta access inside the capability.
-      {
-        util::MutexLock lk(mu_);
-        slot_meta_[*slot].stage_s[k] = stage_s;
-      }
-      // Stage-channel handoff is the third fault site — the software
-      // analogue of a dropped FIFO beat between hardware modules.
-      const bool handed = run_with_retries(
-          [] { util::fault_point(util::FaultSite::kChannelHandoff); });
-      if (!handed) {
-        abort_slot(*slot);
-        continue;
-      }
-      stage_q_[k + 1]->push(*slot);
-      continue;
-    }
-    // Decode done: the batch's writes are committed — release its
-    // footprint marks and slot, and account the request latencies.
-    // Service time spans admission to completion (inter-stage queueing
-    // included), so percentiles describe what a request actually saw.
-    sb.finish_batch(*slot);
-    util::MutexLock done_lk(mu_);
-    SlotMeta& meta = slot_meta_[*slot];
-    for (graph::NodeId v : meta.wfp) {
-      TGNN_DCHECK(write_marks_[v] > 0, "write-mark release underflow");
-      --write_marks_[v];
-      --full_marks_[v];
-    }
-    for (graph::NodeId v : meta.rfp) --full_marks_[v];
-    meta.stage_s[k] = stage_s;
-    record_stage_sample(meta.stage_s, meta.range, meta.wfp.size());
-    record_batch(meta.range, meta.arrivals, meta.dispatch_s,
-                 clock_.seconds() - meta.dispatch_s);
-    // Emptying the meta is what marks the slot free for the hazard audit's
-    // occupancy notion — do it before parking the slot.
-    meta.wfp.clear();
-    meta.rfp.clear();
-    meta.arrivals.clear();
-    free_lanes_.push_back(*slot);
-    --executing_;
-  }
-  if (k + 1 < core::kNumStages) stage_q_[k + 1]->close();
 }
 
 std::uint64_t ServingEngine::checkpoint(const std::string& path) {

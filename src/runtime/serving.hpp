@@ -8,44 +8,30 @@
 //   * `max_batch` requests are pending (batch-size cap), or
 //   * the oldest pending request has waited `max_wait_s` (latency flush).
 //
-// With `workers == 1` (the default) the scheduler is a single serial
-// executor: batches are dispatched strictly chronologically — the
-// state-write ordering Algorithm 1 requires — while still amortizing
-// per-batch overhead, exactly the latency/throughput trade the paper
-// sweeps in Fig. 5.
-//
-// With `pipelined` set the backend must implement StagedBackend ("cpu",
-// "cpu-mt", "sharded-cpu"): micro-batches are still FORMED and ADMITTED in
-// strict stream order, but each admitted batch then flows through the four
-// engine stages (core::Stage — MemoryUpdate, NeighborGather, GnnCompute,
-// Decode) on dedicated stage-worker threads wired by bounded StageChannels
-// (the software port of the paper's inter-module FIFOs, reusing
-// fpga::Fifo's stall semantics), so stage k of batch i overlaps stage k-1
-// of batch i+1. Admission runs the same conflict ledger as the worker
-// mode: a batch enters the pipeline only once its write footprint is
-// disjoint from every in-flight batch (and, in deterministic mode or on a
-// backend without race-free reads, once nothing in flight writes what it
-// will read) — per-vertex state writes stay chronological, and
-// deterministic pipelining is bit-identical to the serial path.
-//
-// With `workers > 1` the backend must implement ConcurrentBackend
-// ("sharded-cpu"): micro-batches are still FORMED and DISPATCHED in strict
-// stream order, but a batch whose vertex footprint is disjoint from every
-// in-flight batch starts executing on a free lane without waiting for its
-// predecessors — the parallelism the paper's hardware Updater exploits
-// (per-vertex chronological writes, no global serialization). Head-of-line
-// admission means any two batches touching a common vertex serialize in
-// stream order, so per-vertex state writes stay chronological in every
-// mode. Two conflict policies:
-//   * default (relaxed): only WRITE footprints (batch endpoints) are kept
-//     disjoint; a batch may read a neighbor's memory while another
-//     in-flight batch — earlier OR later in stream order — updates it.
-//     The read is race-free via shard locks but may observe either the
-//     pre- or post-update row (it can see a later batch's write early,
-//     not just a stale value).
-//   * deterministic: READ footprints (sampled neighbors) are tracked too,
-//     so no in-flight batch ever observes another's effects — the served
-//     state and embeddings are bit-identical to the serial "cpu" backend.
+// Execution: one admitter thread forms micro-batches in strict stream
+// order and hands each to one of S slots; workers carry a slot through the
+// four engine stages (core::Stage: MemoryUpdate, NeighborGather,
+// GnnCompute, Decode), each worker running a stage range [a,b) per visit.
+// By default (S = 1, the admitter itself the one [0,4) worker) batches run
+// strictly one after another, the state-write order Algorithm 1 requires,
+// while still amortizing per-batch overhead (the paper's Fig. 5 trade).
+// `workers > 1` (a ConcurrentBackend, "sharded-cpu") gives W slots and W
+// [0,4) lanes, so whole batches overlap — the parallelism the paper's
+// hardware Updater exploits. `pipelined` (a StagedBackend: "cpu",
+// "cpu-mt", "sharded-cpu") gives `pipeline_depth` slots and four
+// single-stage workers wired by bounded StageChannels (the paper's
+// inter-module FIFOs), so stage k of batch i overlaps stage k-1 of batch
+// i+1. With S > 1 a batch is admitted head-of-line only once its write
+// footprint (edge endpoints) touches nothing in flight, so per-vertex
+// state writes stay chronological. Read footprints (sampled neighbors) are
+// tracked too when `deterministic` is set or the backend's reads are not
+// race-free: then no in-flight batch observes another's effects and the
+// result is bit-identical to serial execution. Without read tracking
+// (sharded-cpu, relaxed) a batch may read a neighbor row another in-flight
+// batch — earlier or later in stream order — updates; the shard locks make
+// that race-free, but it may see the pre- or the post-update row. The
+// gpu-sim, apan and fpga backends are not staged: they run serial only,
+// through process_batch.
 //
 // The submit queue is bounded: what happens when it fills is the
 // engine's admission policy (overload behavior under §II-A's bursty
@@ -101,24 +87,26 @@
 // tuning_log() for benches and tests.
 //
 // Per-request latency = queueing wait (measured) + batch service latency
-// (the backend's measured or modelled latency_s), so percentiles are
+// (on a staged backend, admission to the end of the last stage; otherwise
+// the backend's measured or modelled latency_s), so percentiles are
 // meaningful for simulated platforms too; the two components are also
 // tracked separately (ServingStats queue/service percentiles) so batching
 // delay and compute are separable, as in the paper's Fig. 5 trade.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "perf/stage_profile.hpp"
 #include "runtime/backend.hpp"
+#include "runtime/hazard_ledger.hpp"
 #include "runtime/stage_channel.hpp"
 #include "runtime/stream_result.hpp"
 #include "util/mutex.hpp"
@@ -143,8 +131,8 @@ struct ServingOptions {
   std::size_t workers = 1;   ///< parallel dispatch lanes; > 1 requires a
                              ///< ConcurrentBackend (clamped to its lanes())
   bool deterministic = false;  ///< track read footprints too: bit-identical
-                               ///< to serial execution (workers > 1 or
-                               ///< pipelined only)
+                               ///< to serial execution (matters only with
+                               ///< more than one slot)
   bool pipelined = false;  ///< stage-level cross-batch overlap; requires a
                            ///< StagedBackend, mutually exclusive with
                            ///< workers > 1
@@ -223,9 +211,9 @@ struct ServingStats {
   /// Per-stage per-batch time percentiles (core::Stage order: MemoryUpdate,
   /// NeighborGather, GnnCompute, Decode) over every completed batch —
   /// which stage the workload actually bottlenecks on, not just the
-  /// aggregate service time. Serial/worker modes attribute via the
-  /// PartTimes buckets, the pipelined mode via stage wall times (see
-  /// perf/stage_profile.hpp for the convention).
+  /// aggregate service time. Staged backends are timed at the stage
+  /// boundaries in every mode; the non-staged modelled backends report
+  /// their PartTimes buckets (see perf/stage_profile.hpp).
   std::array<double, core::kNumStages> p50_stage_s{};
   std::array<double, core::kNumStages> p95_stage_s{};
   /// The live profile the online tuner reads (EWMA means, windowed
@@ -256,16 +244,6 @@ struct OutcomeRecord {
   std::size_t index;        ///< the request's stream index
   RequestOutcome outcome;
 };
-
-/// Hazard-ledger audit primitive: TGNN_CHECK-aborts unless every vertex id
-/// appears in at most one of the given footprints — the disjointness that
-/// head-of-line admission is supposed to maintain across in-flight batches,
-/// restated as an executable contract over the raw footprints instead of
-/// the mark counters it normally trusts. A checked build
-/// (-DTGNN_CHECKED=ON) runs it over the pipeline's occupied slots after
-/// every admission.
-void audit_disjoint_footprints(
-    std::span<const std::span<const graph::NodeId>> footprints);
 
 class ServingEngine {
  public:
@@ -348,12 +326,14 @@ class ServingEngine {
   [[nodiscard]] std::size_t workers() const { return workers_; }
 
  private:
-  void scheduler_loop() TGNN_EXCLUDES(mu_);
-  void scheduler_loop_parallel() TGNN_EXCLUDES(mu_);
-  void scheduler_loop_pipelined() TGNN_EXCLUDES(mu_);
-  /// Stage worker k: pops slots from stage_q_[k], runs Stage k, hands the
-  /// slot to stage k+1 (Decode completes the batch instead).
-  void stage_worker(std::size_t k) TGNN_EXCLUDES(mu_);
+  /// Forms batches, admits them past the hazard ledger into free slots,
+  /// and feeds the first node.
+  void admit_loop() TGNN_EXCLUDES(mu_);
+  /// One worker of node n: runs a visit for every slot it pops.
+  void worker_loop(std::size_t n) TGNN_EXCLUDES(mu_);
+  /// One visit: run node n's stage range on the slot, then hand the slot
+  /// to node n+1 (the last node completes the batch instead).
+  void run_visit(std::size_t n, std::size_t slot) TGNN_EXCLUDES(mu_);
   /// Pop the next micro-batch (held open per max_batch/max_wait/flush)
   /// under `lk` (which must hold mu_); returns false when stopping with an
   /// empty queue.
@@ -400,24 +380,26 @@ class ServingEngine {
   /// Resolve every request of a permanently failed batch as kFailed and
   /// retire the batch (in-flight count, completion signal).
   void fail_batch(const graph::BatchRange& range) TGNN_REQUIRES(mu_);
-  /// Pipelined failure path: abort the slot's batch on the backend
-  /// (releases pins; no state was committed — stages before Decode only
-  /// write the slot's context), unwind its ledger marks, resolve its
-  /// requests as kFailed, and free the slot.
+  /// The one completion path: feed the profiler and the latency samples,
+  /// then free the slot. `stage_s` are this visit's stage times; `plain`
+  /// is the output of the non-staged path (unused on a staged backend).
+  void complete_slot(std::size_t slot,
+                     const std::array<double, core::kNumStages>& stage_s,
+                     const BatchOutput& plain) TGNN_EXCLUDES(mu_);
+  /// The failure path: abort the slot's batch on the backend (releases
+  /// pins; no state was committed — stages before Decode only write the
+  /// slot's context), resolve its requests as kFailed, and free the slot.
   void abort_slot(std::size_t slot) TGNN_EXCLUDES(mu_);
-  /// Checked-build hazard audit: rebuilds the in-flight picture from the
-  /// occupied pipeline slots' stored write footprints (a slot is occupied
-  /// iff its SlotMeta still holds one) and TGNN_CHECKs they are pairwise
-  /// disjoint — catching a ledger desync (mark leak, footprint drift, slot
-  /// reuse before release) the counters alone would hide.
-  void audit_in_flight_footprints() const TGNN_REQUIRES(mu_);
+  /// Release the slot's ledger marks and return it to the free list.
+  void release_slot_locked(std::size_t slot) TGNN_REQUIRES(mu_);
 
   Backend& backend_;
-  ConcurrentBackend* concurrent_ = nullptr;  ///< set when workers_ > 1
-  StagedBackend* staged_ = nullptr;          ///< set when opts.pipelined
+  StagedBackend* staged_ = nullptr;  ///< null: the plain process_batch path
   ServingOptions opts_;
   std::size_t workers_ = 1;
-  bool track_reads_ = false;  ///< pipelined: read-footprint admission on
+  bool track_hazards_ = false;  ///< more than one slot: run the ledger
+  bool inline_worker_ = false;  ///< one slot, one node: the admitter runs it
+  bool track_reads_ = false;  ///< read-footprint admission on
                               ///< (deterministic, or no race-free reads)
 
   mutable util::Mutex mu_;
@@ -477,32 +459,34 @@ class ServingEngine {
   std::size_t pressure_run_ TGNN_GUARDED_BY(mu_) = 0;
   std::size_t clear_run_ TGNN_GUARDED_BY(mu_) = 0;
 
-  // Conflict ledger of the parallel and pipelined modes (incremented at
-  // dispatch, decremented at completion). write = batch endpoints; full =
-  // endpoints + tracked neighbor reads. free_lanes_ doubles as the free
-  // pipeline-slot list in pipelined mode.
-  std::vector<std::uint32_t> write_marks_ TGNN_GUARDED_BY(mu_);
-  std::vector<std::uint32_t> full_marks_ TGNN_GUARDED_BY(mu_);
-  std::vector<std::size_t> free_lanes_ TGNN_GUARDED_BY(mu_);
-
-  /// Per-slot metadata of a batch in the staged pipeline, written at
-  /// admission and cleared at Decode completion — so an occupied slot is
-  /// exactly one whose footprint is still stored, which is what the
-  /// checked-build hazard audit keys on.
+  // Slots and the conflict ledger over them (marked at admission,
+  // released at completion or abort; unused with one slot).
+  HazardLedger ledger_ TGNN_GUARDED_BY(mu_);
+  std::vector<std::size_t> free_slots_ TGNN_GUARDED_BY(mu_);
+  /// Per-slot metadata of an in-flight batch, written at admission and
+  /// cleared when the slot is freed.
   struct SlotMeta {
-    std::vector<graph::NodeId> wfp, rfp;  ///< marked footprints to release
+    std::vector<graph::NodeId> wfp, rfp;  ///< acquired footprints
     std::vector<double> arrivals;
     graph::BatchRange range;  ///< for typed outcomes at completion/abort
     double dispatch_s = 0.0;
-    /// Stage wall times, written by each stage worker as it finishes its
-    /// stage; fed to the profiler at Decode completion.
+    /// Stage times, added by each worker visit; fed to the profiler at
+    /// completion.
     std::array<double, core::kNumStages> stage_s{};
   };
   std::vector<SlotMeta> slot_meta_ TGNN_GUARDED_BY(mu_);
-  /// Inter-stage channels: stage_q_[k] feeds stage worker k (slot indices).
-  /// The vector itself is immutable after construction (each channel has
-  /// its own internal lock), so it carries no guard.
-  std::vector<std::unique_ptr<StageChannel<std::size_t>>> stage_q_;
+  /// A node: `workers` threads, each running stages [first, last) of one
+  /// slot per visit, fed by the `in` channel (slot indices).
+  struct Node {
+    Node(std::size_t a, std::size_t b, std::size_t k, std::size_t capacity)
+        : first(a), last(b), workers(k), in(capacity), live(k) {}
+    const std::size_t first, last, workers;
+    StageChannel<std::size_t> in;
+    std::atomic<std::size_t> live;  ///< workers not yet exited
+  };
+  /// Immutable after construction (each node synchronizes itself), so it
+  /// carries no guard.
+  std::vector<std::unique_ptr<Node>> nodes_;
 
   Stopwatch clock_;
   std::vector<double> latencies_ TGNN_GUARDED_BY(mu_);
@@ -512,8 +496,7 @@ class ServingEngine {
   double first_submit_s_ TGNN_GUARDED_BY(mu_) = -1.0;
   double last_done_s_ TGNN_GUARDED_BY(mu_) = 0.0;
 
-  /// Runs scheduler_loop (+ the worker lanes in parallel mode); with one
-  /// worker the scheduler is a strict serial executor.
+  /// Runs admit_loop and every node's workers.
   ThreadPool pool_;
 };
 

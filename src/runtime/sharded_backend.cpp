@@ -32,18 +32,11 @@ ShardedCpuBackend::ShardedCpuBackend(const core::TgnModel& model,
 
 BatchOutput ShardedCpuBackend::process_batch(
     const graph::BatchRange& r, std::span<const graph::NodeId> extras) {
-  return process_batch_on(0, r, extras);
-}
-
-BatchOutput ShardedCpuBackend::process_batch_on(
-    std::size_t lane, const graph::BatchRange& r,
-    std::span<const graph::NodeId> extras) {
-  // Serial within the lane: parallelism comes from concurrent lanes, not
-  // from intra-batch OpenMP (which would oversubscribe lanes x threads).
+  // Serial within the lane, as in run_stage.
   omp_set_num_threads(1);
   BatchOutput out;
   Stopwatch sw;
-  out.functional = lanes_.at(lane)->process_batch(r, extras, &out.parts);
+  out.functional = lanes_[0]->process_batch(r, extras, &out.parts);
   out.latency_s = sw.seconds();
   return out;
 }
@@ -86,14 +79,14 @@ void ShardedCpuBackend::begin_batch(std::size_t slot,
 }
 
 void ShardedCpuBackend::run_stage(core::Stage s, std::size_t slot) {
-  // Serial within the stage call, as in process_batch_on: pipeline-level
-  // concurrency replaces intra-batch OpenMP.
+  // Serial within the stage call: lane- and stage-level concurrency
+  // replaces intra-batch OpenMP (which would oversubscribe lanes x threads).
   omp_set_num_threads(1);
   lane_of(slot).stage_run(s, slots_.at(slot));
 }
 
-void ShardedCpuBackend::finish_batch(std::size_t slot) {
-  (void)lane_of(slot).stage_finish(slots_.at(slot));
+std::size_t ShardedCpuBackend::finish_batch(std::size_t slot) {
+  return lane_of(slot).stage_finish(slots_.at(slot)).nodes.size();
 }
 
 void ShardedCpuBackend::abort_batch(std::size_t slot) {

@@ -5,23 +5,17 @@
 //
 // Driven through the plain Backend contract (process_batch on lane 0) it
 // is bit-identical to the "cpu" backend: same engine numerics, same state.
-// Driven through the ConcurrentBackend contract by a multi-worker
-// ServingEngine, non-conflicting micro-batches execute on different lanes
-// at once; cross-batch neighbor-memory reads go through the per-shard
-// reader/writer locks (graph::ShardLockTable), so disjoint-footprint
-// batches never serialize on a global lock.
+// As a ConcurrentBackend it is a StagedBackend whose slot i runs on engine
+// lane i % lanes(), so every ServingEngine shape uses the same machinery:
+// W lanes run whole disjoint batches at once, and a pipeline overlaps the
+// stages of adjacent batches. Cross-batch neighbor-memory reads go through
+// the per-shard reader/writer locks (graph::ShardLockTable), so disjoint-
+// footprint batches never serialize on a global lock, and relaxed (write-
+// footprint-only) admission is race-free (race_free_reads() == true).
 //
-// Each lane pins its OpenMP thread count to 1: lane-level concurrency
-// replaces intra-batch OpenMP, keeping N lanes from oversubscribing the
-// machine N times over.
-//
-// Also a StagedBackend: the lanes compose with pipelining by mapping
-// pipeline slots onto lanes (slot i runs its stages on engine lane
-// i % lanes()), so a pipelined ServingEngine overlaps STAGES of adjacent
-// batches on the same machinery the multi-worker scheduler overlaps WHOLE
-// batches on. The shard locks make cross-batch neighbor-memory reads
-// race-free (race_free_reads() == true), which is what permits relaxed
-// (write-footprint-only) pipelined admission.
+// Each stage call pins its OpenMP thread count to 1: lane- and stage-level
+// concurrency replaces intra-batch OpenMP, keeping N lanes from
+// oversubscribing the machine N times over.
 #pragma once
 
 #include <memory>
@@ -32,8 +26,7 @@
 
 namespace tgnn::runtime {
 
-class ShardedCpuBackend final : public ConcurrentBackend,
-                                public StagedBackend {
+class ShardedCpuBackend final : public ConcurrentBackend {
  public:
   /// `lanes` >= 1 execution lanes, state partitioned into `opts.shards`
   /// shards. `model` and `ds` must outlive the backend.
@@ -64,11 +57,6 @@ class ShardedCpuBackend final : public ConcurrentBackend,
   }
 
   [[nodiscard]] std::size_t lanes() const override { return lanes_.size(); }
-  BatchOutput process_batch_on(
-      std::size_t lane, const graph::BatchRange& r,
-      std::span<const graph::NodeId> extras = {}) override;
-  void read_footprint(const graph::BatchRange& r,
-                      std::vector<graph::NodeId>& out) const override;
 
   // ---- StagedBackend --------------------------------------------------
   void prepare_pipeline(std::size_t slots,
@@ -78,8 +66,10 @@ class ShardedCpuBackend final : public ConcurrentBackend,
   }
   void begin_batch(std::size_t slot, const graph::BatchRange& r) override;
   void run_stage(core::Stage s, std::size_t slot) override;
-  void finish_batch(std::size_t slot) override;
+  std::size_t finish_batch(std::size_t slot) override;
   void abort_batch(std::size_t slot) override;
+  void read_footprint(const graph::BatchRange& r,
+                      std::vector<graph::NodeId>& out) const override;
   [[nodiscard]] bool race_free_reads() const override { return true; }
   void prefetch_rows(std::span<const graph::NodeId> nodes) override {
     state_.prefetch_rows(nodes);

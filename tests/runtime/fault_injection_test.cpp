@@ -145,6 +145,47 @@ TEST(FaultInjection, PermanentFaultFailsOnlyItsBatch) {
   }
 }
 
+TEST(FaultInjection, StageExecChecksPerBatch) {
+  // Fault-site accounting per scheduler shape, with an injector installed
+  // but not armed: 100 requests in exactly ten 10-edge batches.
+  //   * serial cpu and 2-lane sharded-cpu: one worker visit per batch runs
+  //     all four stages, so one kStageExec check per batch (10) and no
+  //     channel handoff. PermanentFaultFailsOnlyItsBatch relies on this.
+  //   * pipelined cpu: four single-stage visits per batch (40 kStageExec
+  //     checks) and three pushes between stage workers (30 handoffs).
+  struct Case {
+    const char* key;
+    std::size_t workers;
+    bool pipelined;
+    std::uint64_t stage_exec, handoff;
+  };
+  const auto ds = tiny_ds();
+  const auto model = tiny_model(ds);
+  for (const Case& c : {Case{"cpu", 1, false, 10, 0},
+                        Case{"sharded-cpu", 2, false, 10, 0},
+                        Case{"cpu", 1, true, 40, 30}}) {
+    BackendOptions bopts;
+    bopts.threads = 2;
+    auto backend = make_backend(c.key, model, ds, bopts);
+    InjectorGuard g(1);
+    ServingOptions opts = fast_opts();
+    opts.max_batch = 10;
+    opts.max_wait_s = 10.0;
+    opts.workers = c.workers;
+    opts.pipelined = c.pipelined;
+    {
+      ServingEngine server(*backend, opts);
+      for (std::size_t i = 0; i < 100; ++i) server.submit(i);
+      server.drain();
+      EXPECT_EQ(server.stats().num_batches, 10u) << c.key;
+    }
+    EXPECT_EQ(g.fi.checks(util::FaultSite::kStageExec), c.stage_exec)
+        << c.key << " workers " << c.workers << " pipelined " << c.pipelined;
+    EXPECT_EQ(g.fi.checks(util::FaultSite::kChannelHandoff), c.handoff)
+        << c.key << " workers " << c.workers << " pipelined " << c.pipelined;
+  }
+}
+
 /// Shared scenario for the threaded modes, where fault placement depends
 /// on scheduling: the invariant is the acceptance contract itself —
 /// every request ends in a typed outcome (served or failed), nothing
