@@ -46,7 +46,7 @@ namespace {
 struct Row {
   std::string kernel;
   std::string variant;  ///< "reference" | "single-row" | "fused"
-  std::string dtype = "fp32";  ///< "fp32" | "int8" | "bf16"
+  std::string dtype = "fp32";  ///< "fp32" | "int8"
   std::size_t batch;    ///< events (rows / nodes) per measured unit
   double ns_per_event = 0.0;
   double gflops = 0.0;
@@ -381,19 +381,16 @@ int main(int argc, char** argv) {
     push(ref, single, fused, true);
   }
 
-  // ---- Precision ladder on the batched affine GEMM (the GRU gate shape):
-  // fp32 fused vs int8 (dynamic per-row activation quantization + integer
-  // GEMM, quantization inside the timer) vs bf16 (weight storage halved,
-  // expanded in-register — a memory-format option, not a speed one). The
-  // int8 rows' speedup_vs_fp32 is what --require_int8_speedup gates.
+  // ---- Precision on the batched affine GEMM (the GRU gate shape): fp32
+  // fused vs int8 (dynamic per-row activation quantization + integer GEMM,
+  // quantization inside the timer). The int8 rows' speedup_vs_fp32 is what
+  // --require_int8_speedup gates.
   {
     const std::size_t k = cfg.gru_in_dim(), n = cfg.mem_dim;
     const Tensor w = Tensor::randn(n, k, rng, 0.5f);
     const Tensor bias(1, n);  // zero bias: pure GEMM + epilogue
     kernels::QuantWeight qw;
     kernels::quantize_weight(w, qw);
-    kernels::Bf16Weight bw;
-    kernels::bf16_from_tensor(w, bw);
     for (const std::size_t m : {16u, 32u, 128u}) {
       const Tensor x = Tensor::randn(m, k, rng, 0.5f);
       Tensor y;
@@ -408,13 +405,8 @@ int main(int argc, char** argv) {
       });
       qi.dtype = "int8";
       qi.speedup_fp32 = fp.ns_per_event / qi.ns_per_event;
-      Row bf = time_kernel(name, "fused", m, flops, min_s,
-                           [&] { kernels::bf16_affine_into(x, bw, bias, y); });
-      bf.dtype = "bf16";
-      bf.speedup_fp32 = fp.ns_per_event / bf.ns_per_event;
       rows.push_back(fp);
       rows.push_back(qi);
-      rows.push_back(bf);
     }
   }
 

@@ -82,8 +82,8 @@ void affine_row_into(std::span<const float> x, const Tensor& w,
 namespace {
 
 /// The shared GRU elementwise epilogue: n = tanh(out + r∘q), s' =
-/// (1-z)∘n + z∘h, in place over `out`. One definition so the fp32 / int8 /
-/// bf16 paths finish identically.
+/// (1-z)∘n + z∘h, in place over `out`. One definition so the fp32 and int8
+/// paths finish identically.
 void gru_elementwise_finish(const Tensor& h, GruScratch& ws, Tensor& out,
                             std::size_t m, std::size_t hid) {
   float* po = out.data();
@@ -135,19 +135,6 @@ void qgru_forward_into(const Tensor& x, const Tensor& h, const GruWeights& w,
                         ws.z);
   qaffine_into(ws.qh, qw.w_hn, *w.b_hn, ws.q);
   qaffine_into(ws.qx, qw.w_in, *w.b_in, out);
-  gru_elementwise_finish(h, ws, out, m, hid);
-}
-
-void bf16_gru_forward_into(const Tensor& x, const Tensor& h,
-                           const GruWeights& w, const Bf16GruWeights& bw,
-                           GruScratch& ws, Tensor& out) {
-  const std::size_t m = x.rows(), hid = h.cols();
-  check(h.rows() == m, "bf16_gru_forward_into: batch mismatch");
-
-  bf16_affine2_sigmoid_into(x, bw.w_ir, *w.b_ir, h, bw.w_hr, *w.b_hr, ws.r);
-  bf16_affine2_sigmoid_into(x, bw.w_iz, *w.b_iz, h, bw.w_hz, *w.b_hz, ws.z);
-  bf16_affine_into(h, bw.w_hn, *w.b_hn, ws.q);
-  bf16_affine_into(x, bw.w_in, *w.b_in, out);
   gru_elementwise_finish(h, ws, out, m, hid);
 }
 

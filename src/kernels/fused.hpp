@@ -50,7 +50,7 @@ struct GruWeights {
 
 /// Gate scratch for gru_forward_into; embed one per BatchWorkspace. The
 /// quantized-activation panels (qx, qh) are touched only by the int8 path
-/// and stay empty under fp32/bf16.
+/// and stay empty under fp32.
 struct GruScratch {
   Tensor r, z, q;
   QuantActs qx, qh;
@@ -75,22 +75,11 @@ struct QuantGruWeights {
   [[nodiscard]] bool ready() const { return w_ir.ready(); }
 };
 
-/// bf16 snapshot of the six weight matrices.
-struct Bf16GruWeights {
-  Bf16Weight w_ir, w_iz, w_in, w_hr, w_hz, w_hn;
-  [[nodiscard]] bool ready() const { return w_ir.ready(); }
-};
-
 /// Int8 fused GRU forward: x and h are per-row-quantized ONCE into ws.qx /
 /// ws.qh and reused across all six gate GEMMs; gates, the elementwise
 /// epilogue, and the new state are fp32 — the state the caller commits to
 /// VertexMemory is never quantized.
 void qgru_forward_into(const Tensor& x, const Tensor& h, const GruWeights& w,
                        const QuantGruWeights& qw, GruScratch& ws, Tensor& out);
-
-/// bf16-weight fused GRU forward (fp32 activations and epilogue).
-void bf16_gru_forward_into(const Tensor& x, const Tensor& h,
-                           const GruWeights& w, const Bf16GruWeights& bw,
-                           GruScratch& ws, Tensor& out);
 
 }  // namespace tgnn::kernels

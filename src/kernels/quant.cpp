@@ -1,7 +1,6 @@
 #include "kernels/quant.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -26,8 +25,6 @@ const char* precision_name(Precision p) {
   switch (p) {
     case Precision::kInt8:
       return "int8";
-    case Precision::kBf16:
-      return "bf16";
     case Precision::kFp32:
       break;
   }
@@ -39,8 +36,6 @@ bool parse_precision(const std::string& s, Precision& out) {
     out = Precision::kFp32;
   } else if (s == "int8") {
     out = Precision::kInt8;
-  } else if (s == "bf16") {
-    out = Precision::kBf16;
   } else {
     return false;
   }
@@ -119,24 +114,6 @@ void dequantize_weight(const QuantWeight& w, Tensor& out) {
           static_cast<float>(w.data[i * w.stride + j]) * w.scale;
 }
 
-std::uint16_t bf16_from_float(float v) {
-  const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
-  // Round to nearest even on the truncated 16 bits; NaN stays NaN (the
-  // rounding add cannot carry a NaN mantissa down to zero).
-  const std::uint32_t rounding = 0x7fffu + ((bits >> 16) & 1u);
-  return static_cast<std::uint16_t>((bits + rounding) >> 16);
-}
-
-float bf16_to_float(std::uint16_t v) { return detail::bf16_expand(v); }
-
-void bf16_from_tensor(const Tensor& w, Bf16Weight& out) {
-  out.rows = w.rows();
-  out.cols = w.cols();
-  out.data.resize(w.size());
-  for (std::size_t i = 0; i < w.size(); ++i)
-    out.data[i] = bf16_from_float(w.data()[i]);
-}
-
 namespace {
 
 void check_qaffine(const QuantActs& x, const QuantWeight& w, const Tensor& b,
@@ -162,23 +139,6 @@ void qaffine_act_into(Act act, bool accumulate, const QuantActs& x,
                                        x.rows, x.stride, w.rows);
 }
 
-void check_bf16_affine(const Tensor& x, const Bf16Weight& w, const Tensor& b,
-                       const char* who) {
-  if (!w.ready())
-    throw std::logic_error(std::string(who) +
-                           ": weight not converted (call prepare first)");
-  if (w.cols != x.cols() || b.size() != w.rows)
-    throw std::invalid_argument(std::string(who) + ": shape mismatch");
-}
-
-template <Act A, bool Accumulate>
-void bf16_dispatch(const Tensor& x, const Bf16Weight& w, const Tensor& b,
-                   Tensor& y) {
-  detail::bf16_gemm_nt_act<A, Accumulate>(x.data(), w.data.data(), b.data(),
-                                          y.data(), x.rows(), x.cols(),
-                                          w.rows);
-}
-
 }  // namespace
 
 void qaffine_into(const QuantActs& x, const QuantWeight& w, const Tensor& b,
@@ -200,33 +160,6 @@ void qaffine2_sigmoid_into(const QuantActs& x, const QuantWeight& wi,
   qaffine_act_into(Act::kNone, false, x, wi, bi, y, "qaffine2_sigmoid_into(x)");
   qaffine_act_into(Act::kSigmoid, true, h, wh, bh, y,
                    "qaffine2_sigmoid_into(h)");
-}
-
-void bf16_affine_into(const Tensor& x, const Bf16Weight& w, const Tensor& b,
-                      Tensor& y) {
-  check_bf16_affine(x, w, b, "bf16_affine_into");
-  y.resize(x.rows(), w.rows);
-  bf16_dispatch<Act::kNone, false>(x, w, b, y);
-}
-
-void bf16_affine_relu_into(const Tensor& x, const Bf16Weight& w,
-                           const Tensor& b, Tensor& y) {
-  check_bf16_affine(x, w, b, "bf16_affine_relu_into");
-  y.resize(x.rows(), w.rows);
-  bf16_dispatch<Act::kRelu, false>(x, w, b, y);
-}
-
-void bf16_affine2_sigmoid_into(const Tensor& x, const Bf16Weight& wi,
-                               const Tensor& bi, const Tensor& h,
-                               const Bf16Weight& wh, const Tensor& bh,
-                               Tensor& y) {
-  check_bf16_affine(x, wi, bi, "bf16_affine2_sigmoid_into(x)");
-  check_bf16_affine(h, wh, bh, "bf16_affine2_sigmoid_into(h)");
-  check(x.rows() == h.rows() && wi.rows == wh.rows,
-        "bf16_affine2_sigmoid_into: row mismatch");
-  y.resize(x.rows(), wi.rows);
-  bf16_dispatch<Act::kNone, false>(x, wi, bi, y);
-  bf16_dispatch<Act::kSigmoid, true>(h, wh, bh, y);
 }
 
 const char* quant_arch_name() {

@@ -1,5 +1,5 @@
-// Quantized (int8 / bf16) inference kernels — the software counterpart of
-// the paper's fixed-point accelerator datapath, behind the same runtime-ISA
+// Quantized (int8) inference kernels — the software counterpart of the
+// paper's fixed-point accelerator datapath, behind the same runtime-ISA
 // dispatch seam as the fp32 GEMMs (gemm_dispatch.hpp).
 //
 // Scheme (symmetric, zero-point-free):
@@ -22,11 +22,11 @@
 // maddubs, avx512 VNNI) produces bit-identical output, a stronger guarantee
 // than the fp32 kernels give (pinned by tests/kernels/quant_test.cpp).
 //
-// bf16 is a weights-only storage format: weights are truncated to bfloat16
-// (round-to-nearest-even), expanded to fp32 in-register inside the GEMM,
-// and everything else runs the fp32 path. It halves weight memory traffic
-// on any ISA (the expansion is one 16-bit shift), which is why there is no
-// per-arch bf16 kernel.
+// int8 is faster than fp32 only on a tier with a widening integer dot: on
+// one Xeon core, avx512-vnni and avx2-maddubs run the GRU and the 472->100
+// affine at 1.3-2.8x fp32, the generic tier at 0.36-0.54x (the table is in
+// DESIGN.md §2c). So the serving engine offers int8 as an overload rung
+// only when quant_arch_name() is not "generic".
 #pragma once
 
 #include <cstdint>
@@ -38,11 +38,12 @@
 
 namespace tgnn::kernels {
 
-/// Numeric mode of the inference hot path. Training is always fp32.
-enum class Precision { kFp32, kInt8, kBf16 };
+/// Numeric mode of the inference hot path. Training is always fp32. The
+/// values are stable: tuning journals carry them raw.
+enum class Precision { kFp32 = 0, kInt8 = 1 };
 
 [[nodiscard]] const char* precision_name(Precision p);
-/// "fp32" | "int8" | "bf16" -> enum; false on anything else.
+/// "fp32" | "int8" -> enum; false on anything else.
 bool parse_precision(const std::string& s, Precision& out);
 
 /// Quantized rows are stored padded to the widest int8 vector width (the
@@ -66,13 +67,6 @@ struct QuantWeight {
   std::vector<std::int32_t> row_sum; ///< [rows]
   float scale = 0.0f;
   std::size_t rows = 0, cols = 0, stride = 0;
-  [[nodiscard]] bool ready() const { return !data.empty(); }
-};
-
-/// bf16 (truncated fp32, RNE) snapshot of a weight matrix.
-struct Bf16Weight {
-  std::vector<std::uint16_t> data;  ///< [rows * cols]
-  std::size_t rows = 0, cols = 0;
   [[nodiscard]] bool ready() const { return !data.empty(); }
 };
 
@@ -106,10 +100,6 @@ void quantize_weight(const Tensor& w, QuantWeight& out);
 /// Dequantized copy ŵ = q·scale (tests / diagnostics).
 void dequantize_weight(const QuantWeight& w, Tensor& out);
 
-[[nodiscard]] std::uint16_t bf16_from_float(float v);  ///< RNE truncation
-[[nodiscard]] float bf16_to_float(std::uint16_t v);
-void bf16_from_tensor(const Tensor& w, Bf16Weight& out);
-
 // ---- int8 fused affine entries --------------------------------------------
 // Quantized counterparts of the fused.hpp affine family: x is a per-row-
 // quantized panel (quantize_rows_into), w a per-tensor-quantized weight,
@@ -126,18 +116,6 @@ void qaffine_relu_into(const QuantActs& x, const QuantWeight& w,
 void qaffine2_sigmoid_into(const QuantActs& x, const QuantWeight& wi,
                            const Tensor& bi, const QuantActs& h,
                            const QuantWeight& wh, const Tensor& bh, Tensor& y);
-
-// ---- bf16 fused affine entries --------------------------------------------
-// fp32 activations against bf16-stored weights; same shapes as fused.hpp.
-
-void bf16_affine_into(const Tensor& x, const Bf16Weight& w, const Tensor& b,
-                      Tensor& y);
-void bf16_affine_relu_into(const Tensor& x, const Bf16Weight& w,
-                           const Tensor& b, Tensor& y);
-void bf16_affine2_sigmoid_into(const Tensor& x, const Bf16Weight& wi,
-                               const Tensor& bi, const Tensor& h,
-                               const Bf16Weight& wh, const Tensor& bh,
-                               Tensor& y);
 
 /// Name of the int8 micro-kernel tier in use ("generic" | "avx2-maddubs" |
 /// "avx512-vnni"), resolved once per process like simd_arch_name().

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -79,11 +78,6 @@ inline void quantize_rows_generic(const float* x, std::size_t m, std::size_t k,
   }
 }
 
-/// bf16 -> fp32 is exact: place the 16 stored bits as the high half.
-inline float bf16_expand(std::uint16_t v) {
-  return std::bit_cast<float>(static_cast<std::uint32_t>(v) << 16);
-}
-
 /// The ONE dequantization epilogue: c = act(base + idot·s + bias), where
 /// s = a_scale[i]·b_scale is folded by the caller. Every tier must funnel
 /// its exact int32 dot through this expression, in this association order.
@@ -140,54 +134,6 @@ void qgemm_nt_act(const std::int8_t* a, const float* a_scale,
       const std::int32_t acc = qdot_scalar(arow, b + j * k, k);
       crow[j] = quant_finish<A>(Accumulate ? crow[j] : 0.0f, acc, s,
                                 bias != nullptr ? bias[j] : 0.0f);
-    }
-  }
-}
-
-/// bf16-weight GEMM: fp32 activations, weights expanded from bf16 in the
-/// inner loop (one 16-bit shift — autovectorizable on every ISA, which is
-/// why bf16 has no per-arch tiers). Accumulation and epilogue match the
-/// fp32 generic core element-for-element.
-template <Act A, bool Accumulate>
-void bf16_gemm_nt_act(const float* a, const std::uint16_t* b,
-                      const float* bias, float* c, std::size_t m,
-                      std::size_t k, std::size_t n) {
-#pragma omp parallel for schedule(static) if (parallel_worthwhile(m, k, n))
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    std::size_t j = 0;
-    for (; j + kColBlock <= n; j += kColBlock) {
-      const std::uint16_t* b0 = b + (j + 0) * k;
-      const std::uint16_t* b1 = b + (j + 1) * k;
-      const std::uint16_t* b2 = b + (j + 2) * k;
-      const std::uint16_t* b3 = b + (j + 3) * k;
-      float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-#pragma omp simd reduction(+ : acc0, acc1, acc2, acc3)
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const float av = arow[kk];
-        acc0 += av * bf16_expand(b0[kk]);
-        acc1 += av * bf16_expand(b1[kk]);
-        acc2 += av * bf16_expand(b2[kk]);
-        acc3 += av * bf16_expand(b3[kk]);
-      }
-      crow[j + 0] = activate<A>((Accumulate ? crow[j + 0] : 0.0f) + acc0 +
-                                (bias != nullptr ? bias[j + 0] : 0.0f));
-      crow[j + 1] = activate<A>((Accumulate ? crow[j + 1] : 0.0f) + acc1 +
-                                (bias != nullptr ? bias[j + 1] : 0.0f));
-      crow[j + 2] = activate<A>((Accumulate ? crow[j + 2] : 0.0f) + acc2 +
-                                (bias != nullptr ? bias[j + 2] : 0.0f));
-      crow[j + 3] = activate<A>((Accumulate ? crow[j + 3] : 0.0f) + acc3 +
-                                (bias != nullptr ? bias[j + 3] : 0.0f));
-    }
-    for (; j < n; ++j) {
-      const std::uint16_t* brow = b + j * k;
-      float acc = 0.0f;
-#pragma omp simd reduction(+ : acc)
-      for (std::size_t kk = 0; kk < k; ++kk)
-        acc += arow[kk] * bf16_expand(brow[kk]);
-      crow[j] = activate<A>((Accumulate ? crow[j] : 0.0f) + acc +
-                            (bias != nullptr ? bias[j] : 0.0f));
     }
   }
 }

@@ -65,9 +65,6 @@ void GruCell::forward_into(const Tensor& x, const Tensor& h,
     case kernels::Precision::kInt8:
       kernels::qgru_forward_into(x, h, w, qw, ws, out);
       break;
-    case kernels::Precision::kBf16:
-      kernels::bf16_gru_forward_into(x, h, w, bw16, ws, out);
-      break;
     case kernels::Precision::kFp32:
       kernels::gru_forward_into(x, h, w, ws, out);
       break;
@@ -83,14 +80,6 @@ void GruCell::prepare(kernels::Precision p) const {
       kernels::quantize_weight(w_hr.value, qw.w_hr);
       kernels::quantize_weight(w_hz.value, qw.w_hz);
       kernels::quantize_weight(w_hn.value, qw.w_hn);
-      break;
-    case kernels::Precision::kBf16:
-      kernels::bf16_from_tensor(w_ir.value, bw16.w_ir);
-      kernels::bf16_from_tensor(w_iz.value, bw16.w_iz);
-      kernels::bf16_from_tensor(w_in.value, bw16.w_in);
-      kernels::bf16_from_tensor(w_hr.value, bw16.w_hr);
-      kernels::bf16_from_tensor(w_hz.value, bw16.w_hz);
-      kernels::bf16_from_tensor(w_hn.value, bw16.w_hn);
       break;
     case kernels::Precision::kFp32:
       break;

@@ -86,7 +86,6 @@ class GruCell {
   // Reduced-precision weight snapshots (prepare()); derived caches, never
   // checkpointed.
   mutable kernels::QuantGruWeights qw;
-  mutable kernels::Bf16GruWeights bw16;
 };
 
 }  // namespace tgnn::nn

@@ -23,9 +23,6 @@ void Linear::prepare(kernels::Precision p) const {
     case kernels::Precision::kInt8:
       kernels::quantize_weight(w.value, qw);
       break;
-    case kernels::Precision::kBf16:
-      kernels::bf16_from_tensor(w.value, bw16);
-      break;
     case kernels::Precision::kFp32:
       break;
   }
@@ -38,14 +35,6 @@ void Linear::forward_q_into(const kernels::QuantActs& x, Tensor& y) const {
 void Linear::forward_q_relu_into(const kernels::QuantActs& x,
                                  Tensor& y) const {
   kernels::qaffine_relu_into(x, qw, b.value, y);
-}
-
-void Linear::forward_bf16_into(const Tensor& x, Tensor& y) const {
-  kernels::bf16_affine_into(x, bw16, b.value, y);
-}
-
-void Linear::forward_bf16_relu_into(const Tensor& x, Tensor& y) const {
-  kernels::bf16_affine_relu_into(x, bw16, b.value, y);
 }
 
 Tensor Linear::backward(const Tensor& x, const Tensor& dy) {

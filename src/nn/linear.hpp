@@ -42,10 +42,6 @@ class Linear {
   /// Same with a fused ReLU epilogue.
   void forward_q_relu_into(const kernels::QuantActs& x, Tensor& y) const;
 
-  /// bf16-weight forward (fp32 activations). Requires prepare(kBf16).
-  void forward_bf16_into(const Tensor& x, Tensor& y) const;
-  void forward_bf16_relu_into(const Tensor& x, Tensor& y) const;
-
   /// Backward: given dY and the forward input X, accumulates weight/bias
   /// grads and returns dX.
   Tensor backward(const Tensor& x, const Tensor& dy);
@@ -67,7 +63,6 @@ class Linear {
   // are derived caches of `w`, not model state — checkpoints never carry
   // them and training never reads them.
   mutable kernels::QuantWeight qw;
-  mutable kernels::Bf16Weight bw16;
 };
 
 }  // namespace tgnn::nn

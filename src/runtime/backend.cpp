@@ -340,8 +340,8 @@ ResolvedBackendKey resolve_backend_key(const std::string& key,
                                        kernels::Precision default_precision,
                                        std::size_t total_state_bytes) {
   // Split optional ":"-separated suffixes off the registry key: a numeric
-  // mode ("fp32" | "int8" | "bf16") and/or a resident-state budget
-  // ("mem=<size>"), e.g. "sharded-cpu:int8:mem=10%".
+  // mode ("fp32" | "int8") and/or a resident-state budget ("mem=<size>"),
+  // e.g. "sharded-cpu:int8:mem=10%".
   ResolvedBackendKey r;
   r.precision = default_precision;
   r.precision_requested = default_precision != kernels::Precision::kFp32;
@@ -359,7 +359,7 @@ ResolvedBackendKey resolve_backend_key(const std::string& key,
     } else {
       throw std::invalid_argument(
           "make_backend: unknown suffix '" + part + "' in key '" + key +
-          "' (fp32 | int8 | bf16 | mem=<size>)");
+          "' (fp32 | int8 | mem=<size>)");
     }
     pos = next;
   }

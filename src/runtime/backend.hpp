@@ -18,7 +18,7 @@
 // Backends are constructed through the string-keyed factory `make_backend`
 // ("cpu" | "cpu-mt" | "sharded-cpu" | "gpu-sim" | "apan" | "fpga"); the
 // engine-backed CPU keys additionally take a precision suffix
-// ("cpu:int8" | "cpu-mt:bf16" | "sharded-cpu:int8" | ...":fp32") selecting
+// ("cpu:int8" | "cpu-mt:int8" | "sharded-cpu:int8" | ...":fp32") selecting
 // the quantized inference path. See DESIGN.md for the registry and for how
 // to add a new backend.
 #pragma once
@@ -79,9 +79,9 @@ class Backend {
   }
 
   /// Switch the numeric mode of the hot path at runtime — the serving
-  /// engine's graceful-degradation seam (fp32 -> bf16 -> int8 under
-  /// sustained overload, and back up when pressure clears). Must only be
-  /// called with no batch in flight. Returns false when the backend has no
+  /// engine's graceful-degradation seam (fp32 -> int8 under sustained
+  /// overload, and back up when pressure clears). Must only be called with
+  /// no batch in flight. Returns false when the backend has no
   /// runtime-switchable precision (the modelled platforms) — the engine
   /// then disables degradation rather than erroring.
   virtual bool set_precision(kernels::Precision p) {
@@ -198,10 +198,10 @@ struct BackendOptions {
   std::size_t max_batch_hint = 1024;      ///< workspace pre-sizing at warmup
 
   /// Numeric mode of the CPU execution backends' hot path. kFp32 defers to
-  /// ModelConfig::inference_precision; a ":int8" / ":bf16" / ":fp32" key
-  /// suffix ("cpu:int8") overrides both. Only the engine-backed keys
-  /// (cpu | cpu-mt | sharded-cpu) accept a non-fp32 mode — the modelled
-  /// platforms (gpu-sim, fpga, apan) reject the suffix.
+  /// ModelConfig::inference_precision; a ":int8" / ":fp32" key suffix
+  /// ("cpu:int8") overrides both. Only the engine-backed keys (cpu |
+  /// cpu-mt | sharded-cpu) accept a non-fp32 mode — the modelled platforms
+  /// (gpu-sim, fpga, apan) reject the suffix.
   kernels::Precision precision = kernels::Precision::kFp32;
 
   /// Resident vertex-state budget in bytes for the engine-backed CPU keys

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "kernels/quant.hpp"
@@ -126,16 +127,15 @@ ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
   }
   {
     // Degradation ladder, anchored at the backend's base numeric mode.
-    // One rung means "never degrade" — either the option is off or the
-    // backend already serves int8.
+    // One rung means "never degrade": the option is off, the backend
+    // already serves int8, or int8 runs on the generic kernel tier, where
+    // it is slower than fp32 — overload must never buy slower numerics.
     util::MutexLock lk(mu_);
     ladder_.push_back(backend_.precision());
-    if (opts_.degrade_under_overload) {
-      if (ladder_.front() == kernels::Precision::kFp32)
-        ladder_.push_back(kernels::Precision::kBf16);
-      if (ladder_.front() != kernels::Precision::kInt8)
-        ladder_.push_back(kernels::Precision::kInt8);
-    }
+    if (opts_.degrade_under_overload &&
+        ladder_.front() == kernels::Precision::kFp32 &&
+        std::string_view(kernels::quant_arch_name()) != "generic")
+      ladder_.push_back(kernels::Precision::kInt8);
   }
   if (opts_.pipelined) {
     if (staged_ == nullptr)

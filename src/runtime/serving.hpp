@@ -53,10 +53,11 @@
 // Under sustained overload the engine can optionally degrade gracefully:
 // when the queue stays above `degrade_high` of capacity for
 // `degrade_patience` consecutive batch formations it steps the backend's
-// numeric mode down one rung (fp32 -> bf16 -> int8, via
-// Backend::set_precision at a quiescent point), and steps back up when
-// the queue stays below `degrade_low` — trading accuracy for throughput
-// exactly along the quantization ladder of the inference path.
+// numeric mode from fp32 down to int8 (via Backend::set_precision at a
+// quiescent point), and steps back up when the queue stays below
+// `degrade_low` — trading accuracy for throughput. The int8 rung exists
+// only where it is faster: not on the generic int8 kernel tier, where
+// int8 runs at 0.36-0.54x fp32 (kernels/quant.hpp).
 //
 // Faults: every batch execution runs under a retry envelope. A transient
 // util::InjectedFault is retried up to `fault_retries` times with
@@ -146,8 +147,8 @@ struct ServingOptions {
                              ///< pending request is dropped undispatched
 
   // ---- Graceful degradation under sustained overload ------------------
-  bool degrade_under_overload = false;  ///< step fp32->bf16->int8 when the
-                                        ///< queue stays pressured
+  bool degrade_under_overload = false;  ///< step fp32->int8 when the queue
+                                        ///< stays pressured
   double degrade_high = 0.75;  ///< queue fill ratio that counts as pressure
   double degrade_low = 0.25;   ///< queue fill ratio that counts as clear
   std::size_t degrade_patience = 4;  ///< consecutive pressured (clear) batch
@@ -200,8 +201,8 @@ struct ServingStats {
   std::size_t num_failed = 0;    ///< batch failed permanently (faults)
   std::size_t degrade_steps = 0; ///< precision downshifts taken so far
   std::size_t fault_retries = 0; ///< transient faults absorbed by retry
-  /// Numeric mode the backend is serving at right now (moves along the
-  /// fp32 -> bf16 -> int8 ladder when degradation is on).
+  /// Numeric mode the backend is serving at right now (moves between fp32
+  /// and int8 when degradation is on).
   kernels::Precision precision = kernels::Precision::kFp32;
   /// Out-of-core vertex-store counters (hit/miss/eviction/spill traffic,
   /// write-back invalidations, prefetch effectiveness, spill I/O retries

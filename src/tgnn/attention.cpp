@@ -114,13 +114,6 @@ void VanillaAttention::forward_batch_into(
         wv.forward_q_into(ws.qkv, ws.v);
       }
       break;
-    case kernels::Precision::kBf16:
-      wq.forward_bf16_into(q_in, ws.q);
-      if (total > 0) {
-        wk.forward_bf16_into(kv_in, ws.k);
-        wv.forward_bf16_into(kv_in, ws.v);
-      }
-      break;
     case kernels::Precision::kFp32:
       wq.forward_into(q_in, ws.q);
       if (total > 0) {
@@ -150,9 +143,6 @@ void VanillaAttention::forward_batch_into(
     case kernels::Precision::kInt8:
       kernels::quantize_rows_into(ws.fo_in, ws.qfo);
       wo.forward_q_into(ws.qfo, out);
-      break;
-    case kernels::Precision::kBf16:
-      wo.forward_bf16_into(ws.fo_in, out);
       break;
     case kernels::Precision::kFp32:
       kernels::affine_into(ws.fo_in, wo.w.value, wo.b.value, out);

@@ -54,10 +54,6 @@ const Tensor& Decoder::forward_into(const Tensor& x, InferScratch& ws,
       kernels::quantize_rows_into(ws.hidden, ws.qh);
       l2.forward_q_into(ws.qh, ws.logits);
       break;
-    case kernels::Precision::kBf16:
-      l1.forward_bf16_relu_into(x, ws.hidden);
-      l2.forward_bf16_into(ws.hidden, ws.logits);
-      break;
     case kernels::Precision::kFp32:
       kernels::affine_relu_into(x, l1.w.value, l1.b.value, ws.hidden);
       kernels::affine_into(ws.hidden, l2.w.value, l2.b.value, ws.logits);

@@ -1,6 +1,10 @@
 #include "tgnn/serialize.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -34,12 +38,40 @@ bool read_pod(std::ifstream& f, T& v) {
   return static_cast<bool>(f);
 }
 
-}  // namespace
+/// Crash-safe save: `write` streams the file into "<path>.tmp", which is
+/// flushed, fsynced and only then renamed over `path`. A crash or a failed
+/// write at any point leaves the previous file at `path` intact; on failure
+/// the temp file is removed and the result is false (an exception from
+/// `write` propagates after the same cleanup).
+template <typename Write>
+bool write_file_atomically(const std::string& path, const Write& write) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
+    if (!f) return false;  // nothing was created
+    try {
+      write(f);
+    } catch (...) {  // e.g. a spill read failing mid-snapshot
+      ::unlink(tmp.c_str());
+      throw;
+    }
+    f.close();
+    if (!f) {
+      ::unlink(tmp.c_str());
+      return false;
+    }
+  }
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CLOEXEC);
+  const bool synced = fd >= 0 && ::fsync(fd) == 0;
+  if (fd >= 0) ::close(fd);
+  if (!synced || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    return false;
+  }
+  return true;
+}
 
-bool save_checkpoint(const std::string& path, TgnModel& model,
-                     Decoder* decoder) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
+void write_checkpoint(std::ofstream& f, TgnModel& model, Decoder* decoder) {
   f.write(kMagic, 4);
   write_pod(f, kVersion);
 
@@ -60,7 +92,14 @@ bool save_checkpoint(const std::string& path, TgnModel& model,
       lut && lut->fitted() ? lut->edges() : std::vector<double>{};
   write_pod(f, static_cast<std::uint64_t>(edges.size()));
   for (double e : edges) write_pod(f, e);
-  return static_cast<bool>(f);
+}
+
+}  // namespace
+
+bool save_checkpoint(const std::string& path, TgnModel& model,
+                     Decoder* decoder) {
+  return write_file_atomically(
+      path, [&](std::ofstream& f) { write_checkpoint(f, model, decoder); });
 }
 
 bool load_checkpoint(const std::string& path, TgnModel& model,
@@ -129,12 +168,8 @@ bool any_nonzero(std::span<const float> v) {
   throw std::runtime_error("load_state: " + what);
 }
 
-}  // namespace
-
-bool save_state(const std::string& path, const RuntimeState& state,
-                std::uint64_t stream_cursor) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
+void write_state(std::ofstream& f, const RuntimeState& state,
+                 std::uint64_t stream_cursor) {
   f.write(kStateMagic, 4);
   write_pod(f, kStateVersion);
 
@@ -199,7 +234,15 @@ bool save_state(const std::string& path, const RuntimeState& state,
       write_pod(f, h.ts);
     }
   }
-  return static_cast<bool>(f);
+}
+
+}  // namespace
+
+bool save_state(const std::string& path, const RuntimeState& state,
+                std::uint64_t stream_cursor) {
+  return write_file_atomically(path, [&](std::ofstream& f) {
+    write_state(f, state, stream_cursor);
+  });
 }
 
 bool load_state(const std::string& path, RuntimeState& state,

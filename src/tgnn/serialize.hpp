@@ -22,7 +22,10 @@
 
 namespace tgnn::core {
 
-/// Save model (+ optional decoder) parameters. Returns false on I/O error.
+/// Save model (+ optional decoder) parameters. The file is written to
+/// "<path>.tmp", fsynced, then renamed over `path`, so a failed or
+/// interrupted save leaves the previous checkpoint intact. Returns false on
+/// I/O error.
 bool save_checkpoint(const std::string& path, TgnModel& model,
                      Decoder* decoder = nullptr);
 
@@ -53,7 +56,8 @@ bool load_checkpoint(const std::string& path, TgnModel& model,
 // an out-of-core state the save path reads through the store, faulting
 // spilled pages in as needed — spilled content round-trips bit-exactly.
 
-/// Save `state` + the stream cursor. Returns false on I/O error.
+/// Save `state` + the stream cursor, crash-safely like save_checkpoint.
+/// Returns false on I/O error.
 bool save_state(const std::string& path, const RuntimeState& state,
                 std::uint64_t stream_cursor);
 

@@ -160,9 +160,6 @@ void SimplifiedAttention::aggregate_batch_into(
         kernels::quantize_rows_into(v_in, ws.qv);
         wv.forward_q_into(ws.qv, ws.v);
         break;
-      case kernels::Precision::kBf16:
-        wv.forward_bf16_into(v_in, ws.v);
-        break;
       case kernels::Precision::kFp32:
         wv.forward_into(v_in, ws.v);
         break;
@@ -186,9 +183,6 @@ void SimplifiedAttention::aggregate_batch_into(
     case kernels::Precision::kInt8:
       kernels::quantize_rows_into(ws.fo_in, ws.qfo);
       wo.forward_q_into(ws.qfo, out);
-      break;
-    case kernels::Precision::kBf16:
-      wo.forward_bf16_into(ws.fo_in, out);
       break;
     case kernels::Precision::kFp32:
       kernels::affine_into(ws.fo_in, wo.w.value, wo.b.value, out);

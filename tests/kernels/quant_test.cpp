@@ -12,7 +12,7 @@
 //    GEMM output. The int32 dot is exact and the fp32 epilogue is one
 //    shared expression, so this pins ALL tiers to identical numerics;
 //  * the k-padding codes (kQuantKPad) are exact no-ops;
-//  * the fused int8/bf16 entries track their fp32 counterparts within the
+//  * the fused int8 entries track their fp32 counterparts within the
 //    quantization error budget.
 #include <gtest/gtest.h>
 
@@ -258,40 +258,6 @@ TEST(QuantFused, QgruTracksFp32Gru) {
     max_err = std::max(max_err, std::fabs(double(out[i]) - double(ref[i])));
   // Gates squash through sigmoid/tanh, so the state error stays small.
   EXPECT_LT(max_err, 0.05) << "on " << quant_arch_name();
-}
-
-// ---- bf16 -----------------------------------------------------------------
-
-TEST(Bf16, RoundTripIsRNEWithEightMantissaBits) {
-  // Values with <= 8 significant mantissa bits are exact.
-  for (float v : {0.0f, 1.0f, -2.5f, 0.15625f, 256.0f, -1.984375f})
-    EXPECT_EQ(bf16_to_float(bf16_from_float(v)), v) << v;
-  // Everything else is within 2^-8 relative (one bf16 ulp).
-  Rng rng(41);
-  const Tensor x = Tensor::randn(1, 200, rng, 3.0f);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const float back = bf16_to_float(bf16_from_float(x[i]));
-    EXPECT_LE(std::fabs(back - x[i]), std::fabs(x[i]) * (1.0f / 256.0f))
-        << x[i];
-  }
-}
-
-TEST(Bf16, AffineTracksFp32) {
-  Rng rng(43);
-  const std::size_t m = 8, k = 73, n = 19;
-  const Tensor x = Tensor::randn(m, k, rng, 0.5f);
-  const Tensor w = Tensor::randn(n, k, rng, 0.3f);
-  const Tensor b = Tensor::randn(n, 1, rng, 0.2f);
-  Tensor ref;
-  affine_into(x, w, b, ref);
-  Bf16Weight bw;
-  bf16_from_tensor(w, bw);
-  Tensor y;
-  bf16_affine_into(x, bw, b, y);
-  double max_err = 0.0;
-  for (std::size_t i = 0; i < y.size(); ++i)
-    max_err = std::max(max_err, std::fabs(double(y[i]) - double(ref[i])));
-  EXPECT_LT(max_err, 0.05);
 }
 
 }  // namespace

@@ -7,9 +7,12 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "data/synthetic.hpp"
+#include "kernels/quant.hpp"
 #include "runtime/serving.hpp"
 #include "util/stopwatch.hpp"
 
@@ -250,6 +253,10 @@ TEST(Admission, DegradesUnderSustainedOverloadAndRecovers) {
   opts.degrade_patience = 1;
   ServingEngine server(*backend, opts);
   EXPECT_EQ(server.stats().precision, kernels::Precision::kFp32);
+  // The ladder's one rung below fp32 is int8, offered only on a kernel
+  // tier where int8 is faster than fp32; the generic tier has no rung.
+  const bool int8_rung =
+      std::string_view(kernels::quant_arch_name()) != "generic";
 
   // Saturate: blocking submits keep the queue at capacity, so batch
   // formations observe a pressured queue and walk the ladder down.
@@ -257,8 +264,25 @@ TEST(Admission, DegradesUnderSustainedOverloadAndRecovers) {
   for (; i < 300; ++i) server.submit(i);
   server.drain();
   const auto pressured = server.stats();
-  EXPECT_GE(pressured.degrade_steps, 1u);
-  EXPECT_NE(pressured.precision, kernels::Precision::kFp32);
+  std::vector<TuningEvent> flips;
+  for (const auto& ev : server.tuning_log())
+    if (ev.kind == TuningEvent::Kind::kPrecision) flips.push_back(ev);
+  if (int8_rung) {
+    EXPECT_GE(pressured.degrade_steps, 1u);
+    // The drain's last formation sees an empty queue and, at patience 1,
+    // may already have stepped back up, so the journal carries the check:
+    // the first flip lands on int8 and the next comes at a later batch,
+    // so at least one batch was served at int8.
+    ASSERT_FALSE(flips.empty());
+    EXPECT_EQ(flips[0].value,
+              static_cast<std::size_t>(kernels::Precision::kInt8));
+    if (flips.size() > 1) EXPECT_GT(flips[1].at_batch, flips[0].at_batch);
+  } else {
+    // Overload never buys slower numerics: no step, no flip, fp32 only.
+    EXPECT_EQ(pressured.degrade_steps, 0u);
+    EXPECT_TRUE(flips.empty());
+    EXPECT_EQ(pressured.precision, kernels::Precision::kFp32);
+  }
   EXPECT_EQ(pressured.num_requests, 300u);  // degraded, not dropped
 
   // Clear: paced submits leave the queue empty at formation time, so the

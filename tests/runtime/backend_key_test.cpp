@@ -44,10 +44,10 @@ TEST(ResolveBackendKey, ExplicitFp32NormalizesDisplay) {
 }
 
 TEST(ResolveBackendKey, OptionsPrecisionCountsAsRequested) {
-  const auto r = resolve_backend_key("cpu", kernels::Precision::kBf16, 0);
-  EXPECT_EQ(r.precision, kernels::Precision::kBf16);
+  const auto r = resolve_backend_key("cpu", kernels::Precision::kInt8, 0);
+  EXPECT_EQ(r.precision, kernels::Precision::kInt8);
   EXPECT_TRUE(r.precision_requested);
-  EXPECT_EQ(r.display, "cpu:bf16");
+  EXPECT_EQ(r.display, "cpu:int8");
 }
 
 TEST(ResolveBackendKey, PercentBudgetAnchorsOnStateBytes) {
@@ -58,8 +58,8 @@ TEST(ResolveBackendKey, PercentBudgetAnchorsOnStateBytes) {
 
 TEST(ResolveBackendKey, MalformedSuffixesThrow) {
   for (const std::string key :
-       {"cpu:", "cpu:int4", "cpu:mem=", "cpu:mem=x", "cpu::int8",
-        "cpu:mem=-1"})
+       {"cpu:", "cpu:int4", "cpu:bf16", "cpu:mem=", "cpu:mem=x",
+        "cpu::int8", "cpu:mem=-1"})
     EXPECT_THROW(
         resolve_backend_key(key, kernels::Precision::kFp32, 0),
         std::invalid_argument)

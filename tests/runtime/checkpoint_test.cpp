@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 
 #include "data/synthetic.hpp"
 #include "runtime/serving.hpp"
 #include "tensor/ops.hpp"
+#include "tgnn/serialize.hpp"
 
 namespace tgnn::runtime {
 namespace {
@@ -149,6 +151,35 @@ TEST(Checkpoint, RestoreRejectsMismatchedState) {
   const core::TgnModel other(cfg, 1);
   auto victim = make_backend("cpu", other, ds);
   EXPECT_THROW(restore_backend(*victim, path), std::runtime_error);
+}
+
+TEST(Checkpoint, FailedSaveKeepsThePreviousCheckpoint) {
+  // A save writes "<path>.tmp" and renames it over the target. A directory
+  // squatting on the temp name fails the write: the save reports it, and
+  // the last good checkpoint still loads with its cursor.
+  const auto ds = tiny_ds();
+  const auto model = tiny_model(ds);
+  auto backend = make_backend("cpu", model, ds);
+  const std::string path = ckpt_path("atomic");
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove_all(tmp);
+  ServingEngine server(*backend, deterministic_opts());
+  for (std::size_t i = 0; i < 100; ++i) server.submit(i);
+  ASSERT_EQ(server.checkpoint(path), 100u);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+
+  for (std::size_t i = 100; i < 150; ++i) server.submit(i);
+  server.drain();
+  std::filesystem::create_directory(tmp);
+  EXPECT_FALSE(core::save_state(path, *backend->runtime_state(), 150));
+  std::filesystem::remove(tmp);
+  auto revived = make_backend("cpu", model, ds);
+  EXPECT_EQ(restore_backend(*revived, path), 100u);
+
+  // With the temp name free again the next save replaces the file.
+  ASSERT_EQ(server.checkpoint(path), 150u);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  EXPECT_EQ(restore_backend(*revived, path), 150u);
 }
 
 TEST(Checkpoint, RestoreRejectsMissingFile) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "data/synthetic.hpp"
 #include "tensor/ops.hpp"
@@ -137,6 +138,28 @@ TEST(Serialize, VanillaModelWithoutLutSavesEmptyEdgeSection) {
   ASSERT_TRUE(load_checkpoint(ckpt.path(), b));
   EXPECT_EQ(ops::max_abs_diff(a.updater().gru.w_ir.value,
                               b.updater().gru.w_ir.value),
+            0.0f);
+}
+
+TEST(Serialize, FailedSaveKeepsThePreviousCheckpoint) {
+  // Saves go through "<path>.tmp" and a rename; a directory squatting on
+  // the temp name fails the write before the target is touched.
+  const auto ds = tiny_ds();
+  ModelConfig cfg = student_cfg(ds);
+  cfg.attention = AttentionKind::kVanilla;
+  cfg.time_encoder = TimeEncoderKind::kCos;
+  TgnModel a(cfg, 1), b(cfg, 2), c(cfg, 3);
+  TempFile ckpt("tgnn_ckpt_atomic.bin");
+  const std::string tmp = ckpt.path() + ".tmp";
+  std::filesystem::remove_all(tmp);
+  ASSERT_TRUE(save_checkpoint(ckpt.path(), a));
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  std::filesystem::create_directory(tmp);
+  EXPECT_FALSE(save_checkpoint(ckpt.path(), b));
+  std::filesystem::remove(tmp);
+  ASSERT_TRUE(load_checkpoint(ckpt.path(), c));
+  EXPECT_EQ(ops::max_abs_diff(a.updater().gru.w_ir.value,
+                              c.updater().gru.w_ir.value),
             0.0f);
 }
 
