@@ -156,7 +156,8 @@ SwPrediction SoftwarePerfModel::predict(const SwCandidate& c) const {
 }
 
 AutoTuner::AutoTuner(runtime::Backend& backend, AutoTunerOptions opts)
-    : backend_(backend), opts_(std::move(opts)) {
+    : backend_(runtime::staged_backend(backend, "AutoTuner")),
+      opts_(std::move(opts)) {
   if (opts_.hardware_threads == 0)
     opts_.hardware_threads =
         std::max(1u, std::thread::hardware_concurrency());
@@ -174,28 +175,23 @@ runtime::ServingOptions AutoTuner::options_for(const SwCandidate& c) const {
 }
 
 std::vector<SwCandidate> AutoTuner::candidates() const {
-  const auto* cb = dynamic_cast<runtime::ConcurrentBackend*>(&backend_);
-  const auto* sb = dynamic_cast<runtime::StagedBackend*>(&backend_);
   std::vector<SwCandidate> out;
   for (std::size_t b : opts_.batch_grid) {
     SwCandidate c;
     c.max_batch = b;
     out.push_back(c);
-    if (cb != nullptr)
-      for (std::size_t w : opts_.worker_grid)
-        if (w > 1 && w <= cb->lanes()) {
-          c.workers = w;
-          out.push_back(c);
-        }
-    if (sb != nullptr) {
-      c.workers = 1;
-      c.pipelined = true;
-      for (std::size_t d : opts_.depth_grid)
-        if (d >= 2) {
-          c.pipeline_depth = d;
-          out.push_back(c);
-        }
-    }
+    for (std::size_t w : opts_.worker_grid)
+      if (w > 1 && w <= backend_.lanes()) {
+        c.workers = w;
+        out.push_back(c);
+      }
+    c.workers = 1;
+    c.pipelined = true;
+    for (std::size_t d : opts_.depth_grid)
+      if (d >= 2) {
+        c.pipeline_depth = d;
+        out.push_back(c);
+      }
   }
   return out;
 }
@@ -231,14 +227,6 @@ TuneResult AutoTuner::search(std::size_t start_index) {
                                       opts_.calib_events, &calib_rps_hi);
   result.next_index += opts_.calib_events;
   result.profile = hi;
-
-  // A backend that reports no stage times (apan) gives the model nothing
-  // to rank with — return the defaults rather than a fabricated winner.
-  if (hi.total_ewma_s() <= 0.0) {
-    result.chosen = SwCandidate{};
-    result.chosen.max_batch = result.options.max_batch;
-    return result;
-  }
 
   SoftwarePerfModel model(lo, hi);
   model.set_hardware_threads(opts_.hardware_threads);

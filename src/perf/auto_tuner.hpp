@@ -39,12 +39,13 @@
 //
 // AutoTuner::search() is the DSE loop: run short calibration serves at two
 // batch sizes, build the model, rank every candidate the backend's
-// contracts admit (workers need a ConcurrentBackend, pipelining a
-// StagedBackend), optionally re-measure the top-K predicted candidates,
-// and return the winning ServingOptions. The search CONSUMES stream events
-// (calibration and validation serve real traffic and advance backend
-// state) — tune on a throwaway backend, or treat the consumed prefix as
-// warmup and continue serving from TuneResult::next_index.
+// contracts admit (worker counts up to its lanes(), every pipeline depth),
+// optionally re-measure the top-K predicted candidates, and return the
+// winning ServingOptions. Like ServingEngine it tunes staged backends
+// only. The search CONSUMES stream events (calibration and validation
+// serve real traffic and advance backend state) — tune on a throwaway
+// backend, or treat the consumed prefix as warmup and continue serving
+// from TuneResult::next_index.
 #pragma once
 
 #include <cstddef>
@@ -60,8 +61,8 @@ namespace tgnn::perf {
 /// exposes that change throughput, minus admission policy).
 struct SwCandidate {
   std::size_t max_batch = 256;
-  std::size_t workers = 1;       ///< > 1 requires a ConcurrentBackend
-  bool pipelined = false;        ///< requires a StagedBackend
+  std::size_t workers = 1;       ///< > 1 requires backend lanes() > 1
+  bool pipelined = false;
   std::size_t pipeline_depth = core::kNumStages;
   [[nodiscard]] std::string describe() const;
 };
@@ -167,14 +168,16 @@ struct TuneResult {
 class AutoTuner {
  public:
   /// The backend must outlive the tuner; search() serves traffic on it.
+  /// Throws std::invalid_argument when it is not a StagedBackend (gpu-sim,
+  /// apan, fpga).
   explicit AutoTuner(runtime::Backend& backend, AutoTunerOptions opts = {});
 
   /// Run the DSE loop starting at stream index `start_index` (the backend
   /// must already be fast-forwarded to it). See the file comment.
   [[nodiscard]] TuneResult search(std::size_t start_index);
 
-  /// The candidate list the backend's contracts admit (serial always;
-  /// workers / pipelined modes gated on the backend's interfaces) — split
+  /// The candidate list the backend's contracts admit (serial and
+  /// pipelined always; worker counts up to the backend's lanes()) — split
   /// out for tests and for callers with their own ranking.
   [[nodiscard]] std::vector<SwCandidate> candidates() const;
 
@@ -189,7 +192,7 @@ class AutoTuner {
                            double* measured_rps = nullptr);
 
  private:
-  runtime::Backend& backend_;
+  runtime::StagedBackend& backend_;
   AutoTunerOptions opts_;
 };
 

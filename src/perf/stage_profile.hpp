@@ -11,14 +11,11 @@
 // samples per stage for percentiles — O(1) doubles per batch, no
 // allocation after construction — so it stays on in production serving.
 //
-// Attribution convention: on a staged backend (cpu, cpu-mt, sharded-cpu)
-// every scheduler mode times each stage at its boundary — the wall time of
-// one StagedBackend::run_stage call — so a stage name means the same work
-// in serial, lane and pipelined serving (the batched GNN gather counts in
-// NeighborGather, where it runs). Only the non-staged modelled backends
-// (gpu-sim, apan, fpga) report PartTimes buckets instead, mapped memory ->
-// MemoryUpdate, sample -> NeighborGather, gnn -> GnnCompute, update ->
-// Decode.
+// Attribution convention: the engine serves staged backends only (cpu,
+// cpu-mt, sharded-cpu), and every scheduler mode times each stage at its
+// boundary — the wall time of one StagedBackend::run_stage call — so a
+// stage name means the same work in serial, lane and pipelined serving
+// (the batched GNN gather counts in NeighborGather, where it runs).
 #pragma once
 
 #include <array>

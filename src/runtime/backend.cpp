@@ -7,131 +7,15 @@
 #include <thread>
 #include <utility>
 
-#include <omp.h>
-
 #include "baselines/apan.hpp"
-#include "baselines/cpu_runner.hpp"
 #include "fpga/accelerator.hpp"
-#include "runtime/sharded_backend.hpp"
-#include "util/stopwatch.hpp"
+#include "runtime/cpu_backend.hpp"
 
 namespace tgnn::runtime {
 
 BackendOptions::BackendOptions() : gpu(baselines::titan_xp()) {}
 
 namespace {
-
-/// "cpu" / "cpu-mt": measured execution of the reference engine, wrapping
-/// the OpenMP CpuRunner baseline. Also a StagedBackend: pipeline slots are
-/// engine StageContexts; the engine holds no per-batch state of its own, so
-/// stage calls on distinct slots are safe from different stage workers as
-/// long as the scheduler keeps in-flight footprints disjoint (reads too —
-/// race_free_reads() stays false: there are no shard locks here).
-class CpuBackend final : public Backend, public StagedBackend {
- public:
-  CpuBackend(std::string key, const core::TgnModel& model,
-             const data::Dataset& ds, int threads, const BackendOptions& opts)
-      : key_(std::move(key)), ds_(ds),
-        runner_(model, ds, threads, opts.memory_budget), opts_(opts) {
-    // opts.precision arrives fully resolved from make_backend (key suffix >
-    // options > ModelConfig); kFp32 is a cheap no-op on a fresh engine.
-    runner_.engine().set_precision(opts.precision);
-  }
-
-  BatchOutput process_batch(const graph::BatchRange& r,
-                            std::span<const graph::NodeId> extras) override {
-    runner_.bind_threads();
-    BatchOutput out;
-    Stopwatch sw;
-    out.functional = runner_.engine().process_batch(r, extras, &out.parts);
-    out.latency_s = sw.seconds();
-    return out;
-  }
-
-  void warmup(const graph::BatchRange& range) override {
-    runner_.engine().reserve_workspace(opts_.max_batch_hint);
-    runner_.engine().warmup(range, opts_.warmup_batch);
-  }
-
-  void reset() override { runner_.engine().reset(); }
-
-  [[nodiscard]] std::string name() const override { return key_; }
-  [[nodiscard]] std::string describe() const override {
-    std::string d =
-        "host CPU, " + std::to_string(runner_.threads()) + " thread(s)";
-    if (opts_.precision != kernels::Precision::kFp32)
-      d += std::string(", ") + kernels::precision_name(opts_.precision);
-    if (opts_.memory_budget != 0)
-      d += ", resident budget " +
-           std::to_string(opts_.memory_budget / (1024 * 1024)) + " MiB";
-    return d + " (measured)";
-  }
-  [[nodiscard]] const data::Dataset& dataset() const override { return ds_; }
-
-  [[nodiscard]] graph::VertexStoreStats store_stats() const override {
-    return runner_.engine().state().store_stats();
-  }
-
-  bool set_precision(kernels::Precision p) override {
-    runner_.engine().set_precision(p);
-    return true;
-  }
-  [[nodiscard]] kernels::Precision precision() const override {
-    return runner_.engine().precision();
-  }
-
-  [[nodiscard]] core::RuntimeState* runtime_state() override {
-    return &runner_.engine().state();
-  }
-
-  // ---- StagedBackend --------------------------------------------------
-  void prepare_pipeline(std::size_t slots,
-                        std::size_t max_batch_edges) override {
-    slots_.clear();
-    slots_.resize(slots);
-    for (auto& ctx : slots_)
-      runner_.engine().reserve_context(ctx, max_batch_edges);
-  }
-  [[nodiscard]] std::size_t pipeline_slots() const override {
-    return slots_.size();
-  }
-  void begin_batch(std::size_t slot, const graph::BatchRange& r) override {
-    runner_.engine().stage_begin(slots_.at(slot), r);
-  }
-  void run_stage(core::Stage s, std::size_t slot) override {
-    // Split the runner's thread budget across the stages that can actually
-    // run concurrently (never more than there are slots): binding the full
-    // count in every stage worker would oversubscribe the machine up to
-    // kNumStages times over (the same reason sharded lanes pin to 1).
-    // omp_set_num_threads is per-calling-thread, and thread count never
-    // moves a bit.
-    const auto concurrent = static_cast<int>(
-        std::min(slots_.size(), core::kNumStages));
-    omp_set_num_threads(
-        std::max(1, runner_.threads() / std::max(1, concurrent)));
-    runner_.engine().stage_run(s, slots_.at(slot));
-  }
-  std::size_t finish_batch(std::size_t slot) override {
-    return runner_.engine().stage_finish(slots_.at(slot)).nodes.size();
-  }
-  void abort_batch(std::size_t slot) override {
-    runner_.engine().stage_abort(slots_.at(slot));
-  }
-  void read_footprint(const graph::BatchRange& r,
-                      std::vector<graph::NodeId>& out) const override {
-    runner_.engine().read_footprint(r, out);
-  }
-  void prefetch_rows(std::span<const graph::NodeId> nodes) override {
-    runner_.engine().state().prefetch_rows(nodes);
-  }
-
- private:
-  std::string key_;
-  const data::Dataset& ds_;
-  baselines::CpuRunner runner_;
-  BackendOptions opts_;
-  std::vector<core::StageContext> slots_;
-};
 
 /// "gpu-sim": exact functional numerics from the reference engine, batch
 /// latency from the analytic roofline + kernel-launch GPU model — the same
@@ -296,6 +180,16 @@ int resolve_threads(int requested) {
 
 }  // namespace
 
+StagedBackend& staged_backend(Backend& b, const std::string& who) {
+  auto* staged = dynamic_cast<StagedBackend*>(&b);
+  if (staged == nullptr)
+    throw std::invalid_argument(
+        who + ": backend '" + b.name() +
+        "' is not staged (cpu | cpu-mt | sharded-cpu); the modelled "
+        "platforms run offline through drive_batches");
+  return *staged;
+}
+
 std::size_t parse_memory_budget(const std::string& spec,
                                 std::size_t total_state_bytes) {
   if (spec.empty())
@@ -394,16 +288,24 @@ std::unique_ptr<Backend> make_backend(const std::string& key,
       eff.precision == kernels::Precision::kFp32
           ? base
           : base + ":" + kernels::precision_name(eff.precision);
+  // The three CPU keys are points of one {threads, lanes, shards} space.
   if (base == "cpu")
     return std::make_unique<CpuBackend>(display, model, ds, /*threads=*/1,
-                                        eff);
+                                        /*lanes=*/1, /*shards=*/0, eff);
   if (base == "cpu-mt")
     return std::make_unique<CpuBackend>(display, model, ds,
-                                        resolve_threads(eff.threads), eff);
-  if (base == "sharded-cpu")
-    return std::make_unique<ShardedCpuBackend>(
-        model, ds, static_cast<std::size_t>(resolve_threads(eff.threads)),
+                                        resolve_threads(eff.threads),
+                                        /*lanes=*/1, /*shards=*/0, eff);
+  if (base == "sharded-cpu") {
+    // Locks stay armed even at one lane: the key promises race-free reads.
+    if (eff.shards == 0)
+      throw std::invalid_argument(
+          "make_backend: sharded-cpu needs shards >= 1");
+    return std::make_unique<CpuBackend>(
+        display, model, ds, /*threads=*/1,
+        static_cast<std::size_t>(resolve_threads(eff.threads)), eff.shards,
         eff);
+  }
 
   // The modelled / comparator platforms have no reduced-precision datapath;
   // an explicitly requested mode there would silently measure the wrong

@@ -119,12 +119,17 @@ class Backend {
 /// data-race-free and per-vertex state writes stay chronological.
 ///
 /// Every ServingEngine mode drives these calls: a slot is served by one
-/// worker per visit, whatever stage range the visit runs. Implemented by
-/// "cpu", "cpu-mt" (read-tracked admission), and "sharded-cpu" (whose shard
-/// locks make relaxed reads race-free; slot i runs on lane i % lanes()).
-class StagedBackend {
+/// worker per visit, whatever stage range the visit runs. The engine and
+/// the auto-tuner serve staged backends only. Implemented by CpuBackend
+/// (runtime/cpu_backend.hpp): "cpu", "cpu-mt" (read-tracked admission), and
+/// "sharded-cpu" (whose shard locks make relaxed reads race-free; slot i
+/// runs on lane i % lanes()).
+class StagedBackend : public Backend {
  public:
-  virtual ~StagedBackend() = default;
+  /// Independent execution lanes (each with its own workspace) over the
+  /// one vertex state: up to lanes() slots may run whole batches at once,
+  /// the contract a multi-worker ServingEngine schedules against.
+  [[nodiscard]] virtual std::size_t lanes() const { return 1; }
 
   /// (Re)create `slots` pipeline contexts, each workspace-reserved for
   /// batches of up to `max_batch_edges` edges. Called once before any
@@ -171,18 +176,10 @@ class StagedBackend {
   }
 };
 
-/// A StagedBackend whose slots may run whole batches concurrently: up to
-/// lanes() slots, each on its own execution lane (own workspace), over one
-/// shared vertex state — the contract a multi-worker ServingEngine
-/// schedules against ("sharded-cpu"; see DESIGN.md "The shard layer"). On
-/// top of the StagedBackend contract the backend guarantees that reading a
-/// sampled neighbor's memory row another lane writes is race-free (shard
-/// locks).
-class ConcurrentBackend : public Backend, public StagedBackend {
- public:
-  /// Number of independent execution lanes (each with its own workspace).
-  [[nodiscard]] virtual std::size_t lanes() const = 0;
-};
+/// `b` as a StagedBackend — what ServingEngine and perf::AutoTuner serve.
+/// Throws std::invalid_argument naming `who` for the modelled platforms
+/// (gpu-sim, apan, fpga), which run offline through drive_batches.
+StagedBackend& staged_backend(Backend& b, const std::string& who);
 
 /// Per-key construction knobs. `model` and `ds` passed to make_backend must
 /// outlive the backend; so must `apan` when set.

@@ -19,13 +19,10 @@ namespace tgnn::runtime {
 
 namespace {
 
-/// Lanes actually usable: opts.workers clamped to the backend's lane count
-/// (1 when the backend has no concurrent contract).
+/// Lanes actually usable: opts.workers clamped to the backend's lane count.
 std::size_t resolve_workers(const ServingOptions& opts,
-                            const Backend& backend) {
-  const auto* cb = dynamic_cast<const ConcurrentBackend*>(&backend);
-  if (opts.workers <= 1 || cb == nullptr) return 1;
-  return std::min(opts.workers, cb->lanes());
+                            const StagedBackend& backend) {
+  return std::clamp<std::size_t>(opts.workers, 1, backend.lanes());
 }
 
 /// The batch's WRITE footprint: its edge endpoints, deduplicated, straight
@@ -40,13 +37,6 @@ void write_footprint(const graph::TemporalGraph& g,
   }
   std::sort(wfp.begin(), wfp.end());
   wfp.erase(std::unique(wfp.begin(), wfp.end()), wfp.end());
-}
-
-/// PartTimes buckets in core::Stage order (memory -> MemoryUpdate,
-/// sample -> NeighborGather, gnn -> GnnCompute, update -> Decode); see
-/// perf/stage_profile.hpp for the attribution convention.
-std::array<double, core::kNumStages> stage_array(const core::PartTimes& p) {
-  return {p.memory, p.sample, p.gnn, p.update};
 }
 
 }  // namespace
@@ -84,10 +74,9 @@ std::string ServingStats::describe() const {
 }
 
 ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
-    : backend_(backend),
-      staged_(dynamic_cast<StagedBackend*>(&backend)),
+    : backend_(staged_backend(backend, "ServingEngine")),
       opts_(opts),
-      workers_(resolve_workers(opts, backend)),
+      workers_(resolve_workers(opts, backend_)),
       base_max_wait_s_(opts.max_wait_s),
       hw_threads_(std::max<std::size_t>(
           1, std::thread::hardware_concurrency())),
@@ -97,12 +86,11 @@ ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
     throw std::invalid_argument("ServingEngine: max_batch must be > 0");
   if (opts_.queue_capacity == 0)
     throw std::invalid_argument("ServingEngine: queue_capacity must be > 0");
-  if (opts_.workers > 1 &&
-      dynamic_cast<ConcurrentBackend*>(&backend_) == nullptr)
+  if (opts_.workers > 1 && backend_.lanes() == 1)
     throw std::invalid_argument(
-        "ServingEngine: workers > 1 requires a ConcurrentBackend "
-        "(e.g. \"sharded-cpu\"); backend '" +
-        backend_.name() + "' is not one");
+        "ServingEngine: workers > 1 requires a backend with more than one "
+        "lane (e.g. \"sharded-cpu\"); backend '" +
+        backend_.name() + "' has one");
   if (opts_.admission == AdmissionPolicy::kShed && opts_.shed_wait_s < 0.0)
     throw std::invalid_argument("ServingEngine: shed_wait_s must be >= 0");
   if (opts_.admission == AdmissionPolicy::kDeadline && opts_.deadline_s <= 0.0)
@@ -138,11 +126,6 @@ ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
       ladder_.push_back(kernels::Precision::kInt8);
   }
   if (opts_.pipelined) {
-    if (staged_ == nullptr)
-      throw std::invalid_argument(
-          "ServingEngine: pipelined requires a StagedBackend "
-          "(cpu | cpu-mt | sharded-cpu); backend '" +
-          backend_.name() + "' is not one");
     if (opts_.workers > 1)
       throw std::invalid_argument(
           "ServingEngine: pipelined and workers > 1 are mutually exclusive "
@@ -174,8 +157,8 @@ ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
   // (which also makes execution deterministic).
   track_hazards_ = slots > 1;
   track_reads_ = track_hazards_ &&
-                 (opts_.deterministic || !staged_->race_free_reads());
-  if (staged_ != nullptr) staged_->prepare_pipeline(slots, opts_.max_batch);
+                 (opts_.deterministic || !backend_.race_free_reads());
+  backend_.prepare_pipeline(slots, opts_.max_batch);
   {
     // The workers don't exist yet, but initializing the guarded state under
     // the lock keeps every write inside the capability.
@@ -434,10 +417,8 @@ void ServingEngine::maybe_retune(bool degrade_flipped) {
   // results bit-identical to a serial replay of batch_log().
   if (in_flight_ != 1 || executing_ != 0) return;
   const perf::StageProfile prof = profiler_.snapshot();
-  // Need at least half a window of fresh evidence, and a backend that
-  // reports stage times at all (modelled platforms may not).
-  if (prof.batches < opts_.retune_interval / 2 || prof.total_ewma_s() <= 0.0)
-    return;
+  // Need at least half a window of fresh evidence.
+  if (prof.batches < opts_.retune_interval / 2) return;
   formations_since_retune_ = 0;
 
   perf::SoftwarePerfModel model(prof);
@@ -575,7 +556,7 @@ void ServingEngine::admit_loop() {
     // off-lock is safe. Enter once nothing in flight writes what we read.
     if (track_reads_) {
       lk.unlock();
-      staged_->read_footprint(range, rfp);
+      backend_.read_footprint(range, rfp);
       lk.lock();
       while (!ledger_.reads_clear(rfp)) cv_state_.wait(lk);
     }
@@ -596,21 +577,17 @@ void ServingEngine::admit_loop() {
     meta.stage_s.fill(0.0);
 
     lk.unlock();
-    // Until the push, the claimed slot is this thread's alone.
-    bool entered = true;
-    if (staged_ != nullptr) {
-      // Out-of-core prefetch, one stage early: the admitted batch's
-      // footprints are faulted in while its predecessors still occupy the
-      // workers. No-op on an all-resident store.
-      if (track_hazards_) {
-        staged_->prefetch_rows(meta.wfp);
-        if (!meta.rfp.empty()) staged_->prefetch_rows(meta.rfp);
-      }
-      // begin_batch reads only the immutable stream; if it throws, the
-      // batch fails before any stage ran.
-      entered = run_with_retries([&] { staged_->begin_batch(slot, range); });
+    // Until the push, the claimed slot is this thread's alone. Out-of-core
+    // prefetch, one stage early: the admitted batch's footprints are
+    // faulted in while its predecessors still occupy the workers. No-op on
+    // an all-resident store.
+    if (track_hazards_) {
+      backend_.prefetch_rows(meta.wfp);
+      if (!meta.rfp.empty()) backend_.prefetch_rows(meta.rfp);
     }
-    if (!entered)
+    // begin_batch reads only the immutable stream; if it throws, the batch
+    // fails before any stage ran.
+    if (!run_with_retries([&] { backend_.begin_batch(slot, range); }))
       abort_slot(slot);
     else if (inline_worker_)
       run_visit(0, slot);  // the next batch forms after this one completed
@@ -635,25 +612,15 @@ void ServingEngine::worker_loop(std::size_t n) {
 
 void ServingEngine::run_visit(std::size_t n, std::size_t slot) {
   const Node& node = *nodes_[n];
-  graph::BatchRange range;  // the plain-Backend path runs by range
-  if (staged_ == nullptr) {
-    util::MutexLock lk(mu_);
-    range = slot_meta_[slot].range;
-  }
   // Stage times are taken at the stage boundaries, in every shape.
   std::array<double, core::kNumStages> stage_s{};
-  BatchOutput plain;
   // One fault check per visit, ahead of the work: a transient retry never
   // re-runs a half-run stage; a permanent fault aborts the batch.
   const bool ran = run_with_retries([&] {
     util::fault_point(util::FaultSite::kStageExec);
-    if (staged_ == nullptr) {
-      plain = backend_.process_batch(range);
-      return;
-    }
     for (std::size_t k = node.first; k < node.last; ++k) {
       const double t0 = clock_.seconds();
-      staged_->run_stage(static_cast<core::Stage>(k), slot);
+      backend_.run_stage(static_cast<core::Stage>(k), slot);
       stage_s[k] = clock_.seconds() - t0;
     }
   });
@@ -662,7 +629,7 @@ void ServingEngine::run_visit(std::size_t n, std::size_t slot) {
     return;
   }
   if (node.last == core::kNumStages) {
-    complete_slot(slot, stage_s, plain);
+    complete_slot(slot, stage_s);
     return;
   }
   {
@@ -681,27 +648,19 @@ void ServingEngine::run_visit(std::size_t n, std::size_t slot) {
 }
 
 void ServingEngine::complete_slot(
-    std::size_t slot, const std::array<double, core::kNumStages>& stage_s,
-    const BatchOutput& plain) {
+    std::size_t slot, const std::array<double, core::kNumStages>& stage_s) {
   // Decode committed the batch's writes; release the backend's result.
-  const std::size_t unique_vertices = staged_ != nullptr
-                                          ? staged_->finish_batch(slot)
-                                          : plain.functional.nodes.size();
+  const std::size_t unique_vertices = backend_.finish_batch(slot);
   const double done_s = clock_.seconds();  // before waiting for the lock
   util::MutexLock lk(mu_);
   SlotMeta& meta = slot_meta_[slot];
-  double service_s = plain.latency_s;
-  if (staged_ == nullptr) {
-    meta.stage_s = stage_array(plain.parts);
-  } else {
-    for (std::size_t k = 0; k < core::kNumStages; ++k)
-      meta.stage_s[k] += stage_s[k];
-    // Admission to completion (inter-node queueing included), so
-    // percentiles describe what a request actually saw.
-    service_s = done_s - meta.dispatch_s;
-  }
+  for (std::size_t k = 0; k < core::kNumStages; ++k)
+    meta.stage_s[k] += stage_s[k];
   record_stage_sample(meta.stage_s, meta.range, unique_vertices);
-  record_batch(meta.range, meta.arrivals, meta.dispatch_s, service_s);
+  // Service time runs from admission to completion (inter-node queueing
+  // included), so percentiles describe what a request actually saw.
+  record_batch(meta.range, meta.arrivals, meta.dispatch_s,
+               done_s - meta.dispatch_s);
   release_slot_locked(slot);
 }
 
@@ -710,7 +669,7 @@ void ServingEngine::abort_slot(std::size_t slot) {
   // scratch. Stages before Decode write only the slot's context, so no
   // persistent state was committed — per-vertex chronology is intact and
   // the stream simply continues past the failed batch.
-  if (staged_ != nullptr) staged_->abort_batch(slot);
+  backend_.abort_batch(slot);
   util::MutexLock lk(mu_);
   fail_batch(slot_meta_[slot].range);
   release_slot_locked(slot);
@@ -752,7 +711,8 @@ std::uint64_t restore_backend(Backend& backend, const std::string& path) {
     throw std::logic_error("restore_backend: backend '" + backend.name() +
                            "' does not expose its runtime state");
   std::uint64_t cursor = 0;
-  if (!core::load_state(path, *state, cursor))
+  if (!core::load_state(path, *state, cursor,
+                        backend.dataset().graph.num_edges()))
     throw std::runtime_error("restore_backend: cannot read '" + path + "'");
   return cursor;
 }

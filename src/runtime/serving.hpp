@@ -1,5 +1,5 @@
-// Online serving on top of a runtime Backend — the piece that turns the
-// repo from an offline replayer into a serving-shaped system.
+// Online serving on top of a staged runtime backend — the piece that turns
+// the repo from an offline replayer into a serving-shaped system.
 //
 // Callers submit individual edge events (stream indices, in chronological
 // order — the fraud-detection / recommendation request pattern of §II-A). A
@@ -15,13 +15,12 @@
 // By default (S = 1, the admitter itself the one [0,4) worker) batches run
 // strictly one after another, the state-write order Algorithm 1 requires,
 // while still amortizing per-batch overhead (the paper's Fig. 5 trade).
-// `workers > 1` (a ConcurrentBackend, "sharded-cpu") gives W slots and W
-// [0,4) lanes, so whole batches overlap — the parallelism the paper's
-// hardware Updater exploits. `pipelined` (a StagedBackend: "cpu",
-// "cpu-mt", "sharded-cpu") gives `pipeline_depth` slots and four
-// single-stage workers wired by bounded StageChannels (the paper's
-// inter-module FIFOs), so stage k of batch i overlaps stage k-1 of batch
-// i+1. With S > 1 a batch is admitted head-of-line only once its write
+// `workers > 1` (a backend with lanes() > 1, "sharded-cpu") gives W slots
+// and W [0,4) lanes, so whole batches overlap — the parallelism the
+// paper's hardware Updater exploits. `pipelined` gives `pipeline_depth`
+// slots and four single-stage workers wired by bounded StageChannels (the
+// paper's inter-module FIFOs), so stage k of batch i overlaps stage k-1 of
+// batch i+1. With S > 1 a batch is admitted head-of-line only once its write
 // footprint (edge endpoints) touches nothing in flight, so per-vertex
 // state writes stay chronological. Read footprints (sampled neighbors) are
 // tracked too when `deterministic` is set or the backend's reads are not
@@ -30,8 +29,9 @@
 // (sharded-cpu, relaxed) a batch may read a neighbor row another in-flight
 // batch — earlier or later in stream order — updates; the shard locks make
 // that race-free, but it may see the pre- or the post-update row. The
-// gpu-sim, apan and fpga backends are not staged: they run serial only,
-// through process_batch.
+// engine serves staged backends only ("cpu", "cpu-mt", "sharded-cpu"); the
+// modelled gpu-sim, apan and fpga backends are refused and run offline
+// through drive_batches.
 //
 // The submit queue is bounded: what happens when it fills is the
 // engine's admission policy (overload behavior under §II-A's bursty
@@ -87,12 +87,11 @@
 // in stream order against quiescent state. Flips are journaled in
 // tuning_log() for benches and tests.
 //
-// Per-request latency = queueing wait (measured) + batch service latency
-// (on a staged backend, admission to the end of the last stage; otherwise
-// the backend's measured or modelled latency_s), so percentiles are
-// meaningful for simulated platforms too; the two components are also
-// tracked separately (ServingStats queue/service percentiles) so batching
-// delay and compute are separable, as in the paper's Fig. 5 trade.
+// Per-request latency = queueing wait + batch service latency (admission
+// to the end of the last stage), both measured; the two components are
+// also tracked separately (ServingStats queue/service percentiles) so
+// batching delay and compute are separable, as in the paper's Fig. 5
+// trade.
 #pragma once
 
 #include <array>
@@ -130,13 +129,12 @@ struct ServingOptions {
   double max_wait_s = 2e-3;          ///< oldest-request age that forces a flush
   std::size_t queue_capacity = 4096; ///< bounded queue (submit backpressure)
   std::size_t workers = 1;   ///< parallel dispatch lanes; > 1 requires a
-                             ///< ConcurrentBackend (clamped to its lanes())
+                             ///< backend with lanes() > 1 (clamped to it)
   bool deterministic = false;  ///< track read footprints too: bit-identical
                                ///< to serial execution (matters only with
                                ///< more than one slot)
-  bool pipelined = false;  ///< stage-level cross-batch overlap; requires a
-                           ///< StagedBackend, mutually exclusive with
-                           ///< workers > 1
+  bool pipelined = false;  ///< stage-level cross-batch overlap; mutually
+                           ///< exclusive with workers > 1
   std::size_t pipeline_depth = core::kNumStages;  ///< max in-flight batches
                                                   ///< (StageContext slots)
 
@@ -212,9 +210,8 @@ struct ServingStats {
   /// Per-stage per-batch time percentiles (core::Stage order: MemoryUpdate,
   /// NeighborGather, GnnCompute, Decode) over every completed batch —
   /// which stage the workload actually bottlenecks on, not just the
-  /// aggregate service time. Staged backends are timed at the stage
-  /// boundaries in every mode; the non-staged modelled backends report
-  /// their PartTimes buckets (see perf/stage_profile.hpp).
+  /// aggregate service time. Timed at the stage boundaries in every mode
+  /// (see perf/stage_profile.hpp).
   std::array<double, core::kNumStages> p50_stage_s{};
   std::array<double, core::kNumStages> p95_stage_s{};
   /// The live profile the online tuner reads (EWMA means, windowed
@@ -250,8 +247,9 @@ class ServingEngine {
  public:
   /// The backend must outlive the engine. Warm it up (or reset it) before
   /// construction; the engine owns it exclusively while alive. Throws
-  /// std::invalid_argument when opts.workers > 1 and the backend is not a
-  /// ConcurrentBackend.
+  /// std::invalid_argument when the backend is not a StagedBackend
+  /// (gpu-sim, apan, fpga), when opts.workers > 1 and the backend has one
+  /// lane, or on invalid options.
   explicit ServingEngine(Backend& backend, ServingOptions opts = {});
   /// stop()s, draining outstanding requests first.
   ~ServingEngine();
@@ -382,11 +380,10 @@ class ServingEngine {
   /// retire the batch (in-flight count, completion signal).
   void fail_batch(const graph::BatchRange& range) TGNN_REQUIRES(mu_);
   /// The one completion path: feed the profiler and the latency samples,
-  /// then free the slot. `stage_s` are this visit's stage times; `plain`
-  /// is the output of the non-staged path (unused on a staged backend).
+  /// then free the slot. `stage_s` are this visit's stage times.
   void complete_slot(std::size_t slot,
-                     const std::array<double, core::kNumStages>& stage_s,
-                     const BatchOutput& plain) TGNN_EXCLUDES(mu_);
+                     const std::array<double, core::kNumStages>& stage_s)
+      TGNN_EXCLUDES(mu_);
   /// The failure path: abort the slot's batch on the backend (releases
   /// pins; no state was committed — stages before Decode only write the
   /// slot's context), resolve its requests as kFailed, and free the slot.
@@ -394,8 +391,7 @@ class ServingEngine {
   /// Release the slot's ledger marks and return it to the free list.
   void release_slot_locked(std::size_t slot) TGNN_REQUIRES(mu_);
 
-  Backend& backend_;
-  StagedBackend* staged_ = nullptr;  ///< null: the plain process_batch path
+  StagedBackend& backend_;
   ServingOptions opts_;
   std::size_t workers_ = 1;
   bool track_hazards_ = false;  ///< more than one slot: run the ledger

@@ -1,9 +1,9 @@
 // Shared measurement types for every streaming execution path.
 //
 // StreamResult is the single latency/throughput accounting struct used by
-// the runtime driver, the CPU baseline runner, and the FPGA accelerator —
-// before the runtime layer existed each of those carried its own copy of
-// this struct and of the warmup/stream/measure loop around it.
+// the runtime driver and the FPGA accelerator — before the runtime layer
+// existed each execution path carried its own copy of this struct and of
+// the warmup/stream/measure loop around it.
 #pragma once
 
 #include <cstddef>
@@ -65,7 +65,7 @@ struct StepOutcome {
 
 /// THE streaming loop: runs `step` over every non-empty batch in order and
 /// accumulates a StreamResult. All higher-level drivers (runtime::run_stream,
-/// CpuRunner::run, fpga::Accelerator::run, …) are thin wrappers around this.
+/// fpga::Accelerator::run, …) are thin wrappers around this.
 StreamResult drive_batches(
     const std::vector<graph::BatchRange>& batches,
     const std::function<StepOutcome(const graph::BatchRange&)>& step);

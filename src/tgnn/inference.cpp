@@ -160,13 +160,10 @@ void RuntimeState::reset() {
 }
 
 InferenceEngine::InferenceEngine(const TgnModel& model, const data::Dataset& ds,
-                                 bool use_fifo_sampler,
-                                 std::size_t memory_budget)
+                                 bool use_fifo_sampler)
     : model_(model), ds_(ds),
-      owned_state_(std::make_unique<RuntimeState>(ds.graph.num_nodes(),
-                                                  model.config(),
-                                                  use_fifo_sampler,
-                                                  memory_budget)),
+      owned_state_(std::make_unique<RuntimeState>(
+          ds.graph.num_nodes(), model.config(), use_fifo_sampler)),
       state_(owned_state_.get()), dst_pool_(data::destination_pool(ds)) {
   set_precision(model.config().inference_precision);
 }

@@ -235,10 +235,10 @@ class InferenceEngine {
  public:
   using BatchResult = tgnn::core::BatchResult;
 
-  /// `memory_budget` bytes caps the resident vertex state of the engine's
-  /// own RuntimeState (0 = all-resident); see RuntimeState.
+  /// Over a private, all-resident RuntimeState (a budgeted state is built
+  /// by the caller and passed to the shared-state constructor below).
   InferenceEngine(const TgnModel& model, const data::Dataset& ds,
-                  bool use_fifo_sampler = true, std::size_t memory_budget = 0);
+                  bool use_fifo_sampler = true);
 
   /// Operate over an externally owned RuntimeState instead of a private
   /// one. Several engines may share `state` — each keeps its own

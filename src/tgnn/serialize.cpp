@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -36,6 +37,24 @@ template <typename T>
 bool read_pod(std::ifstream& f, T& v) {
   f.read(reinterpret_cast<char*>(&v), sizeof(T));
   return static_cast<bool>(f);
+}
+
+/// Length of the file behind a freshly opened `f` (read position left at
+/// the start).
+std::uint64_t file_size(std::ifstream& f) {
+  f.seekg(0, std::ios::end);
+  const std::streamoff end = f.tellg();
+  f.seekg(0);
+  return end < 0 ? 0 : static_cast<std::uint64_t>(end);
+}
+
+/// Bytes between `f`'s read position and the end of a `size`-byte file:
+/// the bound every length field is checked against before anything is
+/// allocated for it, so a corrupt length is a typed error, not bad_alloc.
+std::uint64_t bytes_left(std::ifstream& f, std::uint64_t size) {
+  const std::streamoff pos = f.tellg();
+  if (pos < 0) return 0;
+  return size - std::min(size, static_cast<std::uint64_t>(pos));
 }
 
 /// Crash-safe save: `write` streams the file into "<path>.tmp", which is
@@ -106,6 +125,7 @@ bool load_checkpoint(const std::string& path, TgnModel& model,
                      Decoder* decoder) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return false;
+  const std::uint64_t size = file_size(f);
   char magic[4];
   f.read(magic, 4);
   std::uint32_t version = 0;
@@ -122,6 +142,10 @@ bool load_checkpoint(const std::string& path, TgnModel& model,
     std::uint32_t name_len = 0;
     if (!read_pod(f, name_len))
       throw std::runtime_error("load_checkpoint: truncated file");
+    if (name_len > bytes_left(f, size))
+      throw std::runtime_error(
+          "load_checkpoint: parameter name length " +
+          std::to_string(name_len) + " exceeds the bytes left in the file");
     std::string name(name_len, '\0');
     f.read(name.data(), name_len);
     std::uint64_t rows = 0, cols = 0;
@@ -140,6 +164,10 @@ bool load_checkpoint(const std::string& path, TgnModel& model,
   std::uint64_t n_edges = 0;
   if (!read_pod(f, n_edges))
     throw std::runtime_error("load_checkpoint: missing LUT section");
+  if (n_edges > bytes_left(f, size) / sizeof(double))
+    throw std::runtime_error("load_checkpoint: LUT edge count " +
+                             std::to_string(n_edges) +
+                             " exceeds the bytes left in the file");
   std::vector<double> edges(n_edges);
   for (auto& e : edges)
     if (!read_pod(f, e))
@@ -246,9 +274,10 @@ bool save_state(const std::string& path, const RuntimeState& state,
 }
 
 bool load_state(const std::string& path, RuntimeState& state,
-                std::uint64_t& stream_cursor) {
+                std::uint64_t& stream_cursor, std::uint64_t num_edges) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return false;
+  const std::uint64_t size = file_size(f);
   char magic[4];
   f.read(magic, 4);
   std::uint32_t version = 0;
@@ -308,11 +337,26 @@ bool load_state(const std::string& path, RuntimeState& state,
     std::uint64_t v = 0, count = 0;
     if (!read_pod(f, v) || !read_pod(f, count) || v >= num_nodes)
       state_fail("bad neighbor row");
+    // Bound the count before allocating: a FIFO row never holds more than
+    // its capacity, and each entry is three u64-sized fields.
+    if (state.table != nullptr && count > state.table->capacity())
+      state_fail("neighbor count " + std::to_string(count) +
+                 " exceeds the FIFO capacity");
+    if (count > bytes_left(f, size) / (3 * sizeof(std::uint64_t)))
+      state_fail("neighbor count " + std::to_string(count) +
+                 " exceeds the bytes left in the file");
     std::vector<graph::NeighborHit> hits(count);
     for (auto& h : hits) {
       std::uint64_t node = 0, eid = 0;
       if (!read_pod(f, node) || !read_pod(f, eid) || !read_pod(f, h.ts))
         state_fail("truncated neighbor entries");
+      // Serving indexes vertex state by node and edge features by eid;
+      // either out of range would fault only at the first served batch.
+      if (node >= num_nodes)
+        state_fail("neighbor node " + std::to_string(node) + " out of range");
+      if (eid >= num_edges)
+        state_fail("neighbor edge id " + std::to_string(eid) +
+                   " out of range");
       h.node = static_cast<graph::NodeId>(node);
       h.eid = static_cast<graph::EdgeId>(eid);
     }

@@ -30,8 +30,9 @@ bool save_checkpoint(const std::string& path, TgnModel& model,
                      Decoder* decoder = nullptr);
 
 /// Restore parameters saved by save_checkpoint into an identically
-/// configured model. Throws std::runtime_error on format/shape mismatch;
-/// returns false if the file cannot be opened.
+/// configured model. Throws std::runtime_error on format/shape mismatch
+/// and on a length field larger than the bytes left in the file (checked
+/// before allocating); returns false if the file cannot be opened.
 bool load_checkpoint(const std::string& path, TgnModel& model,
                      Decoder* decoder = nullptr);
 
@@ -64,9 +65,13 @@ bool save_state(const std::string& path, const RuntimeState& state,
 /// Restore into an identically-configured RuntimeState (same node count,
 /// dims, and sampler kind): resets it, then replays the saved rows, so the
 /// restored engine continues bit-identically to an uninterrupted run.
-/// Throws std::runtime_error on format/config mismatch; returns false if
+/// `num_edges` is the dataset's edge count. Throws std::runtime_error on
+/// format/config mismatch and on corrupt content serving would trip over
+/// later: a neighbor entry naming a vertex >= the node count or an edge id
+/// >= `num_edges`, or a length field larger than the FIFO capacity or the
+/// bytes left in the file (checked before allocating). Returns false if
 /// the file cannot be opened.
 bool load_state(const std::string& path, RuntimeState& state,
-                std::uint64_t& stream_cursor);
+                std::uint64_t& stream_cursor, std::uint64_t num_edges);
 
 }  // namespace tgnn::core

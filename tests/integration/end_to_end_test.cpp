@@ -2,11 +2,11 @@
 // simulator — the small-scale versions of the paper's headline claims.
 #include <gtest/gtest.h>
 
-#include "baselines/cpu_runner.hpp"
 #include "baselines/gpu_sim.hpp"
 #include "data/synthetic.hpp"
 #include "fpga/accelerator.hpp"
 #include "perf/perf_model.hpp"
+#include "runtime/driver.hpp"
 #include "tgnn/trainer.hpp"
 
 namespace tgnn {
@@ -103,9 +103,9 @@ TEST(EndToEnd, FpgaBeatsMeasuredCpuAtSmallBatch) {
   core::TgnModel student(scfg, 3);
   student.fit_lut(core::collect_dt_samples(ds, {0, ds.train_end}));
 
-  baselines::CpuRunner cpu(student, ds, 1);
-  cpu.warmup({0, ds.val_end});
-  const auto cpu_res = cpu.run(ds.test_range(), 100);
+  auto cpu = runtime::make_backend("cpu", student, ds);
+  runtime::fast_forward(*cpu, ds.val_end);
+  const auto cpu_res = runtime::run_stream(*cpu, ds.test_range(), 100);
 
   fpga::Accelerator acc(student, ds, fpga::u200_design(), fpga::alveo_u200());
   acc.warmup({0, ds.val_end});

@@ -45,8 +45,7 @@ TEST(AutoTuner, CandidatesGatedByBackendContracts) {
   topts.worker_grid = {2, 4, 64};  // 64 exceeds any lane count: skipped
   topts.depth_grid = {2, 4};
 
-  // "cpu" is a StagedBackend but not a ConcurrentBackend: serial and
-  // pipelined candidates only.
+  // "cpu" has one lane: serial and pipelined candidates only.
   auto cpu = runtime::make_backend("cpu", model, ds);
   AutoTuner cpu_tuner(*cpu, topts);
   std::size_t serial = 0, workers = 0, pipelined = 0;
@@ -62,7 +61,8 @@ TEST(AutoTuner, CandidatesGatedByBackendContracts) {
   EXPECT_EQ(workers, 0u);
   EXPECT_EQ(pipelined, 4u);  // 2 batches x 2 depths
 
-  // "sharded-cpu" is both: worker candidates appear, capped at lanes().
+  // "sharded-cpu" has four lanes: worker candidates appear, capped at
+  // lanes().
   runtime::BackendOptions bopts;
   bopts.threads = 4;
   auto sharded = runtime::make_backend("sharded-cpu", model, ds, bopts);
@@ -82,14 +82,9 @@ TEST(AutoTuner, CandidatesGatedByBackendContracts) {
   EXPECT_EQ(workers, 4u);  // 2 batches x {2, 4} workers; 64 skipped
   EXPECT_EQ(pipelined, 4u);
 
-  // "gpu-sim" is neither: serial candidates only.
+  // "gpu-sim" is not staged: the tuner refuses it.
   auto gpu = runtime::make_backend("gpu-sim", model, ds);
-  AutoTuner gpu_tuner(*gpu, topts);
-  for (const auto& c : gpu_tuner.candidates()) {
-    EXPECT_FALSE(c.pipelined);
-    EXPECT_EQ(c.workers, 1u);
-  }
-  EXPECT_EQ(gpu_tuner.candidates().size(), 2u);
+  EXPECT_THROW(AutoTuner(*gpu, topts), std::invalid_argument);
 }
 
 TEST(AutoTuner, OptionsRealizeCandidate) {

@@ -169,6 +169,36 @@ TEST(BackendFactory, ModelledBackendsRejectExplicitPrecision) {
   EXPECT_NE(make_backend("fpga:fp32", model, ds), nullptr);
 }
 
+TEST(BackendFactory, CpuKeysPinTheirAdmissionContract) {
+  // cpu, cpu-mt and sharded-cpu are three points of one CpuBackend{threads,
+  // lanes, shards}: the lanes a multi-worker engine may use and whether it
+  // may skip read tracking must stay what each key always promised.
+  // sharded-cpu keeps its shard locks armed even at one lane.
+  const auto ds = tiny_ds();
+  const auto model = sat_model(ds);
+  struct Contract {
+    const char* key;
+    int threads;
+    std::size_t lanes;
+    bool race_free_reads;
+  };
+  for (const Contract& c :
+       {Contract{"cpu", 1, 1, false}, Contract{"cpu", 4, 1, false},
+        Contract{"cpu-mt", 1, 1, false}, Contract{"cpu-mt", 4, 1, false},
+        Contract{"sharded-cpu", 1, 1, true},
+        Contract{"sharded-cpu", 4, 4, true}}) {
+    BackendOptions opts;
+    opts.threads = c.threads;
+    auto b = make_backend(c.key, model, ds, opts);
+    const auto* staged = dynamic_cast<const StagedBackend*>(b.get());
+    ASSERT_NE(staged, nullptr) << c.key;
+    EXPECT_EQ(staged->lanes(), c.lanes) << c.key << " threads " << c.threads;
+    EXPECT_EQ(staged->race_free_reads(), c.race_free_reads)
+        << c.key << " threads " << c.threads;
+    EXPECT_EQ(b->name(), c.key);
+  }
+}
+
 TEST(Driver, StreamAccountingMatchesRange) {
   const auto ds = tiny_ds();
   const auto model = sat_model(ds);

@@ -6,10 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "data/synthetic.hpp"
+#include "runtime/driver.hpp"
 #include "runtime/serving.hpp"
 #include "tensor/ops.hpp"
 #include "tgnn/serialize.hpp"
@@ -180,6 +185,77 @@ TEST(Checkpoint, FailedSaveKeepsThePreviousCheckpoint) {
   ASSERT_EQ(server.checkpoint(path), 150u);
   EXPECT_FALSE(std::filesystem::exists(tmp));
   EXPECT_EQ(restore_backend(*revived, path), 150u);
+}
+
+std::uint64_t u64_at(const std::vector<char>& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof v);
+  return v;
+}
+
+/// Offset of the first neighbor row's count field in a TGNS file saved
+/// from `state`: the header, the memory and mailbox rows and the
+/// mail_valid flags come first (layout in tgnn/serialize.hpp). The row's
+/// first entry follows the count: node at +8, eid at +16.
+std::size_t first_neighbor_count_at(const std::vector<char>& bytes,
+                                    const core::RuntimeState& state) {
+  std::size_t at = 4 + 4 + 3 * 8 + 1 + 8 + 8;  // through the cursor
+  at += 8 + u64_at(bytes, at) * (16 + state.memory.dim() * sizeof(float));
+  at += 8 + u64_at(bytes, at) * (16 + state.mailbox.raw_dim() * sizeof(float));
+  at += state.memory.num_nodes();  // mail_valid
+  EXPECT_GT(u64_at(bytes, at), 0u) << "no neighbor row to corrupt";
+  return at + 16;  // past the row count and the row's vertex
+}
+
+/// Fast-forward a "cpu" backend over 300 edges and save its state, write
+/// `value` over the u64 `field` bytes past the first neighbor row's count,
+/// and expect restoring the file into a fresh backend to throw — at
+/// restore time, not at the first served batch.
+void expect_corrupt_neighbor_field_rejected(const std::string& tag,
+                                            std::size_t field,
+                                            std::uint64_t value) {
+  const auto ds = tiny_ds();
+  const auto model = tiny_model(ds);
+  const std::string path = ckpt_path(tag);
+  auto backend = make_backend("cpu", model, ds);
+  fast_forward(*backend, 300);
+  const core::RuntimeState& state = *backend->runtime_state();
+  ASSERT_TRUE(core::save_state(path, state, 300));
+
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::size_t at = first_neighbor_count_at(bytes, state) + field;
+  ASSERT_LE(at + sizeof value, bytes.size());
+  std::memcpy(bytes.data() + at, &value, sizeof value);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  auto revived = make_backend("cpu", model, ds);
+  EXPECT_THROW(restore_backend(*revived, path), std::runtime_error) << tag;
+}
+
+TEST(Checkpoint, RestoreRejectsNeighborNodeOutOfRange) {
+  // Serving would read the vertex state of that node: out_of_range inside
+  // an OpenMP region, which terminates the process.
+  expect_corrupt_neighbor_field_rejected("bad_node", 8,
+                                         tiny_ds().graph.num_nodes() + 7);
+}
+
+TEST(Checkpoint, RestoreRejectsNeighborEdgeIdOutOfRange) {
+  // Serving would read that edge's feature row past the end of the matrix.
+  expect_corrupt_neighbor_field_rejected("bad_eid", 16, 0xFFFFFFF0u);
+}
+
+TEST(Checkpoint, RestoreRejectsNeighborCountBeforeAllocating) {
+  // A count no FIFO row can hold, and no file could: a typed error, not
+  // std::bad_alloc.
+  expect_corrupt_neighbor_field_rejected("bad_count", 0,
+                                         std::uint64_t{1} << 40);
 }
 
 TEST(Checkpoint, RestoreRejectsMissingFile) {

@@ -193,6 +193,8 @@ TEST(PipelinedServing, RequiresStagedBackend) {
   ServingOptions opts;
   opts.pipelined = true;
   EXPECT_THROW(ServingEngine(*gpu, opts), std::invalid_argument);
+  // The engine serves staged backends only, in the default shape too.
+  EXPECT_THROW(ServingEngine(*gpu, ServingOptions{}), std::invalid_argument);
 }
 
 TEST(PipelinedServing, MutuallyExclusiveWithWorkerLanes) {

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "data/synthetic.hpp"
+#include "perf/auto_tuner.hpp"
 #include "runtime/driver.hpp"
 #include "tensor/ops.hpp"
 #include "util/stopwatch.hpp"
@@ -271,6 +272,31 @@ TEST(ServingEngine, OccupancyGaugesTrackSerialMode) {
   EXPECT_GE(s.peak_in_flight_batches, 1u);
   EXPECT_EQ(s.peak_parallel_batches, 1u);
   EXPECT_GE(s.peak_queue_depth, 1u);
+}
+
+TEST(ServingEngine, RefusesModelledBackendsInEveryShape) {
+  // The engine and the tuner serve staged backends only; gpu-sim, apan and
+  // fpga run offline through drive_batches.
+  const auto ds = tiny_ds();
+  core::ModelConfig cfg = tiny_model(ds).config();
+  cfg.attention = core::AttentionKind::kSimplified;  // fpga needs it
+  cfg.time_encoder = core::TimeEncoderKind::kLut;
+  cfg.prune_budget = 3;
+  core::TgnModel model(cfg, 1);
+  model.fit_lut(core::collect_dt_samples(ds, {0, ds.train_end}));
+  ServingOptions lanes;
+  lanes.workers = 2;
+  ServingOptions pipelined;
+  pipelined.pipelined = true;
+  for (const std::string key : {"gpu-sim", "apan", "fpga"}) {
+    auto backend = make_backend(key, model, ds);
+    for (const ServingOptions& opts : {ServingOptions{}, lanes, pipelined})
+      EXPECT_THROW(ServingEngine(*backend, opts), std::invalid_argument)
+          << key;
+    EXPECT_THROW(perf::AutoTuner(*backend, perf::AutoTunerOptions{}),
+                 std::invalid_argument)
+        << key;
+  }
 }
 
 TEST(ServingEngine, PercentileOfEmptySamplesIsZero) {

@@ -2,7 +2,7 @@
 //  * deterministic mode is bit-identical to the serial "cpu" backend,
 //  * relaxed mode serves every request with chronological per-vertex
 //    writes (memory timestamps never regress),
-//  * the scheduler machinery (lane clamp, non-concurrent backend rejection,
+//  * the scheduler machinery (lane clamp, one-lane backend rejection,
 //    stats split) behaves.
 // The concurrency-heavy tests here double as the ThreadSanitizer CI load.
 #include <gtest/gtest.h>
@@ -11,9 +11,9 @@
 #include <unordered_map>
 
 #include "data/synthetic.hpp"
+#include "runtime/cpu_backend.hpp"
 #include "runtime/driver.hpp"
 #include "runtime/serving.hpp"
-#include "runtime/sharded_backend.hpp"
 #include "tensor/ops.hpp"
 
 namespace tgnn::runtime {
@@ -115,13 +115,13 @@ TEST(ShardedServing, RelaxedModeServesAllWithChronologicalWrites) {
   // write conflicts serialized in stream order mean no regressions; spot-
   // check that no memory timestamp exceeds the stream horizon and that
   // state is consistent enough to keep processing.
-  auto* sharded = dynamic_cast<ShardedCpuBackend*>(backend.get());
+  auto* sharded = dynamic_cast<CpuBackend*>(backend.get());
   ASSERT_NE(sharded, nullptr);
   const auto out = sharded->process_batch({n, n + 50});
   EXPECT_EQ(out.functional.embeddings.rows(), out.functional.nodes.size());
 }
 
-TEST(ShardedServing, WorkersRequireConcurrentBackend) {
+TEST(ShardedServing, WorkersRequireMultiLaneBackend) {
   const auto ds = serving_ds();
   const auto model = sat_model(ds);
   auto cpu = make_backend("cpu", model, ds);
@@ -168,7 +168,7 @@ TEST(ShardedServing, ReadFootprintCoversSampledNeighbors) {
   BackendOptions bopts;
   bopts.shards = 8;
   auto backend = make_backend("sharded-cpu", model, ds, bopts);
-  auto* sharded = dynamic_cast<ShardedCpuBackend*>(backend.get());
+  auto* sharded = dynamic_cast<CpuBackend*>(backend.get());
   ASSERT_NE(sharded, nullptr);
   EXPECT_EQ(sharded->num_shards(), 8u);
 

@@ -9,9 +9,8 @@
 
 #include <thread>
 
-#include "baselines/cpu_runner.hpp"
 #include "data/synthetic.hpp"
-#include "runtime/backend.hpp"
+#include "runtime/cpu_backend.hpp"
 #include "tensor/ops.hpp"
 #include "tgnn/decoder.hpp"
 #include "tgnn/inference.hpp"
@@ -116,17 +115,21 @@ TEST(BatchedInference, CpuMtMatchesSerialPerRow) {
   const TgnModel model(
       small_cfg(AttentionKind::kSimplified, ds.edge_dim(), /*prune=*/3), 1);
 
-  baselines::CpuRunner mt(model, ds, /*threads=*/2);
-  ASSERT_TRUE(mt.engine().batched_gnn());
+  runtime::BackendOptions opts;
+  opts.threads = 2;
+  auto mt = runtime::make_backend("cpu-mt", model, ds, opts);
+  auto* cpu = dynamic_cast<runtime::CpuBackend*>(mt.get());
+  ASSERT_NE(cpu, nullptr);
+  ASSERT_TRUE(cpu->engine().batched_gnn());
   InferenceEngine per_row(model, ds);
   per_row.set_batched_gnn(false);
 
-  mt.bind_threads();
+  // process_batch binds the backend's two OpenMP threads on this thread.
   for (const auto& b : ds.graph.fixed_size_batches(0, 400, 37)) {
-    const auto a = mt.engine().process_batch(b);
+    const auto a = mt->process_batch(b);
     const auto r = per_row.process_batch(b);
-    ASSERT_EQ(a.nodes, r.nodes);
-    EXPECT_EQ(ops::max_abs_diff(a.embeddings, r.embeddings), 0.0f);
+    ASSERT_EQ(a.functional.nodes, r.nodes);
+    EXPECT_EQ(ops::max_abs_diff(a.functional.embeddings, r.embeddings), 0.0f);
   }
   omp_set_num_threads(std::max(1, static_cast<int>(
                                       std::thread::hardware_concurrency())));

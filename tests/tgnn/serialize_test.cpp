@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "data/synthetic.hpp"
 #include "tensor/ops.hpp"
@@ -161,6 +163,71 @@ TEST(Serialize, FailedSaveKeepsThePreviousCheckpoint) {
   EXPECT_EQ(ops::max_abs_diff(a.updater().gru.w_ir.value,
                               c.updater().gru.w_ir.value),
             0.0f);
+}
+
+/// Overwrite `n` bytes of `path` at `at` with `value`'s low bytes.
+void patch_file(const std::string& path, std::size_t at, std::uint64_t value,
+                std::size_t n) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(static_cast<std::streamoff>(at));
+  f.write(reinterpret_cast<const char*>(&value),
+          static_cast<std::streamsize>(n));
+}
+
+TEST(Serialize, LengthFieldsBeyondTheFileAreRejectedBeforeAllocating) {
+  // Every length is checked against the bytes left in the file before
+  // anything is allocated for it: a corrupt length is a typed
+  // std::runtime_error naming the field, never std::bad_alloc.
+  const auto ds = tiny_ds();
+  ModelConfig cfg = student_cfg(ds);
+  cfg.attention = AttentionKind::kVanilla;
+  cfg.time_encoder = TimeEncoderKind::kCos;  // no LUT: edge count is last
+  TgnModel a(cfg, 1), b(cfg, 2);
+  TempFile ckpt("tgnn_ckpt_lengths.bin");
+  const auto expect_exceeds = [&](const char* what) {
+    try {
+      load_checkpoint(ckpt.path(), b);
+      ADD_FAILURE() << what << ": expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos)
+          << what << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": threw " << e.what();
+    }
+  };
+
+  // The first parameter's u32 name length sits after magic, version and
+  // the u64 parameter count.
+  ASSERT_TRUE(save_checkpoint(ckpt.path(), a));
+  patch_file(ckpt.path(), 16, 1u << 20, sizeof(std::uint32_t));
+  expect_exceeds("parameter name length");
+
+  ASSERT_TRUE(save_checkpoint(ckpt.path(), a));
+  const auto size = std::filesystem::file_size(ckpt.path());
+  patch_file(ckpt.path(), size - 8, std::uint64_t{1} << 40, 8);
+  expect_exceeds("LUT edge count");
+
+  // load_state's neighbor count, on the unbounded sampler (no FIFO
+  // capacity to bound it): no memory or mailbox rows, so the first row's
+  // count follows the 49-byte header, two zero row counts, the mail_valid
+  // flags, the neighbor row count and the row's vertex.
+  RuntimeState st(ds.graph.num_nodes(), cfg, /*use_fifo=*/false);
+  for (const auto& e : ds.graph.edges({0, 50})) st.insert_edge(e);
+  TempFile state_file("tgnn_state_lengths.tgns");
+  ASSERT_TRUE(save_state(state_file.path(), st, 0));
+  patch_file(state_file.path(), 49 + 16 + ds.graph.num_nodes() + 16,
+             std::uint64_t{1} << 40, 8);
+  RuntimeState restored(ds.graph.num_nodes(), cfg, /*use_fifo=*/false);
+  std::uint64_t cursor = 0;
+  try {
+    load_state(state_file.path(), restored, cursor, ds.num_edges());
+    ADD_FAILURE() << "neighbor count: expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos)
+        << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "neighbor count: threw " << e.what();
+  }
 }
 
 }  // namespace
