@@ -93,6 +93,7 @@ void write_json(const std::string& path, const core::ModelConfig& cfg,
   std::fprintf(f, "{\n  \"bench\": \"kernel_sweep\",\n");
   std::fprintf(f, "  \"simd_arch\": \"%s\",\n", kernels::simd_arch_name());
   std::fprintf(f, "  \"quant_arch\": \"%s\",\n", kernels::quant_arch_name());
+  std::fprintf(f, "  \"omp_threads\": %d,\n", omp_get_max_threads());
   std::fprintf(f,
                "  \"config\": {\"mem_dim\": %zu, \"time_dim\": %zu, "
                "\"emb_dim\": %zu, \"edge_dim\": %zu, \"num_neighbors\": %zu},\n",
@@ -165,7 +166,9 @@ int main(int argc, char** argv) {
 
   // ---- GRU memory updater: the per-event serving bottleneck.
   nn::GruCell gru("g", cfg.gru_in_dim(), cfg.mem_dim, rng);
-  gru.prepare(kernels::Precision::kInt8);  // one-time weight snapshot
+  // One-time weight snapshots, outside every timer, as at model load.
+  gru.prepare(kernels::Precision::kFp32);
+  gru.prepare(kernels::Precision::kInt8);
   for (const std::size_t m : {1u, 8u, 16u, 32u, 128u}) {
     const Tensor x = Tensor::randn(m, cfg.gru_in_dim(), rng, 0.5f);
     const Tensor h = Tensor::randn(m, cfg.mem_dim, rng, 0.5f);
@@ -209,6 +212,7 @@ int main(int argc, char** argv) {
   {
     const std::size_t n = cfg.num_neighbors;
     core::VanillaAttention att(cfg, rng);
+    att.prepare(kernels::Precision::kFp32);
     for (const std::size_t m : {1u, 16u, 32u}) {
       std::vector<std::size_t> seg(m + 1);
       for (std::size_t i = 0; i <= m; ++i) seg[i] = i * n;
@@ -268,6 +272,7 @@ int main(int argc, char** argv) {
   // ---- Simplified attention (score + aggregate), full budget.
   {
     core::SimplifiedAttention sat(cfg, rng);
+    sat.prepare(kernels::Precision::kFp32);
     std::vector<double> dts(cfg.num_neighbors);
     for (std::size_t j = 0; j < dts.size(); ++j)
       dts[j] = 10.0 * static_cast<double>(j + 1);
@@ -331,6 +336,7 @@ int main(int argc, char** argv) {
   // ---- Link-prediction decoder.
   {
     core::Decoder dec(cfg, rng);
+    dec.prepare(kernels::Precision::kFp32);
     for (const std::size_t m : {1u, 32u}) {
       const Tensor x = Tensor::randn(m, 3 * cfg.emb_dim, rng, 0.5f);
       const double flops =
@@ -355,11 +361,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Raw GEMM (the GRU input-gate shape) for the GFLOP/s headline.
+  // ---- GEMM (the GRU input-gate shape) for the GFLOP/s headline, over
+  // weights packed once like a prepared layer's (zero bias).
   {
     const std::size_t m = 32, k = cfg.gru_in_dim(), n = cfg.mem_dim;
     const Tensor a = Tensor::randn(m, k, rng, 0.5f);
     const Tensor b = Tensor::randn(n, k, rng, 0.5f);
+    const Tensor zero(1, n);
+    kernels::PackedWeight pb;
+    kernels::pack_weight(b.data(), n, k, pb);
     Tensor c(m, n);
     const double flops = 2.0 * static_cast<double>(m * k * n);
     Row ref = time_kernel("gemm_nt_32x472x100", "reference", m, flops, min_s,
@@ -370,14 +380,10 @@ int main(int argc, char** argv) {
     Row single =
         time_kernel("gemm_nt_32x472x100", "single-row", m, flops, min_s, [&] {
           for (std::size_t r = 0; r < m; ++r)
-            kernels::gemm_nt(a.row(r).data(), b.data(), c.row(r).data(), 1, k,
-                             n);
+            kernels::affine_row_into(a.row(r), pb, zero, c.row(r));
         });
     Row fused = time_kernel("gemm_nt_32x472x100", "fused", m, flops, min_s,
-                            [&] {
-                              kernels::gemm_nt(a.data(), b.data(), c.data(), m,
-                                               k, n);
-                            });
+                            [&] { kernels::affine_into(a, pb, zero, c); });
     push(ref, single, fused, true);
   }
 
@@ -389,6 +395,8 @@ int main(int argc, char** argv) {
     const std::size_t k = cfg.gru_in_dim(), n = cfg.mem_dim;
     const Tensor w = Tensor::randn(n, k, rng, 0.5f);
     const Tensor bias(1, n);  // zero bias: pure GEMM + epilogue
+    kernels::PackedWeight pw;
+    kernels::pack_weight(w.data(), n, k, pw);
     kernels::QuantWeight qw;
     kernels::quantize_weight(w, qw);
     for (const std::size_t m : {16u, 32u, 128u}) {
@@ -397,7 +405,7 @@ int main(int argc, char** argv) {
       const double flops = 2.0 * static_cast<double>(m * k * n);
       const std::string name = "affine_nt_472x100";
       Row fp = time_kernel(name, "fused", m, flops, min_s,
-                           [&] { kernels::affine_into(x, w, bias, y); });
+                           [&] { kernels::affine_into(x, pw, bias, y); });
       kernels::QuantActs qx;
       Row qi = time_kernel(name, "fused", m, flops, min_s, [&] {
         kernels::quantize_rows_into(x, qx);
@@ -429,8 +437,8 @@ int main(int argc, char** argv) {
   bool ok = true;
   if (require > 0.0) {
     for (const Row& r : rows)
-      if (r.kernel == "gru_forward" && r.variant == "fused" && r.batch <= 32 &&
-          r.speedup < require) {
+      if (r.kernel == "gru_forward" && r.variant == "fused" &&
+          r.dtype == "fp32" && r.batch <= 32 && r.speedup < require) {
         std::fprintf(stderr,
                      "FAIL: fused gru_forward batch=%zu speedup %.2fx < "
                      "required %.2fx vs reference\n",
@@ -450,7 +458,8 @@ int main(int argc, char** argv) {
         "batched GRU gate skipped: single hardware thread (report-only)\n");
   } else if (require_batched > 0.0) {
     for (const Row& r : rows)
-      if (r.kernel == "gru_forward" && r.variant == "fused" && r.batch >= 16 &&
+      if (r.kernel == "gru_forward" && r.variant == "fused" &&
+          r.dtype == "fp32" && r.batch >= 16 &&
           r.speedup_single < require_batched) {
         std::fprintf(stderr,
                      "FAIL: batched gru_forward batch=%zu speedup %.2fx < "

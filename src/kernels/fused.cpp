@@ -1,8 +1,8 @@
 #include "kernels/fused.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "kernels/gemm_dispatch.hpp"
 
@@ -16,57 +16,71 @@ void check(bool cond, const char* msg) {
   if (!cond) throw std::invalid_argument(msg);
 }
 
-void check_affine(const Tensor& x, const Tensor& w, const Tensor& b,
-                  const char* who) {
-  if (w.cols() != x.cols() || b.size() != w.rows())
+void check_affine(std::size_t x_cols, std::size_t w_rows, std::size_t w_cols,
+                  const Tensor& b, const char* who) {
+  if (w_cols != x_cols || b.size() != w_rows)
     throw std::invalid_argument(std::string(who) + ": shape mismatch");
 }
 
-template <Act A>
-void affine_act_into(const Tensor& x, const Tensor& w, const Tensor& b,
-                     Tensor& y, const char* who) {
-  check_affine(x, w, b, who);
-  y.resize(x.rows(), w.rows());
-  detail::active_kernels().gemm(A, /*accumulate=*/false, x.data(), w.data(),
-                                b.data(), y.data(), x.rows(), x.cols(),
-                                w.rows());
+/// y[m, w.rows] = act((accumulate ? y : 0) + x·wᵀ + b) over packed panels.
+void gemm_into(Act act, bool accumulate, const Tensor& x, const float* panels,
+               std::size_t n, const Tensor& b, Tensor& y) {
+  if (!accumulate) y.resize(x.rows(), n);
+  detail::active_kernels().gemm(act, accumulate, x.data(), panels, b.data(),
+                                y.data(), x.rows(), x.cols(), n);
+}
+
+void affine_raw(Act act, const Tensor& x, const Tensor& w, const Tensor& b,
+                Tensor& y, const char* who) {
+  check_affine(x.cols(), w.rows(), w.cols(), b, who);
+  gemm_into(act, false, x, detail::scratch_panels(w.data(), w.rows(), w.cols()),
+            w.rows(), b, y);
+}
+
+void affine_packed(Act act, bool accumulate, const Tensor& x,
+                   const PackedWeight& w, const Tensor& b, Tensor& y,
+                   const char* who) {
+  check_affine(x.cols(), w.rows, w.cols, b, who);
+  check(w.ready() || w.rows * w.cols == 0,
+        "affine: weight not packed (call prepare first)");
+  gemm_into(act, accumulate, x, w.data.data(), w.rows, b, y);
 }
 
 }  // namespace
 
 void affine_into(const Tensor& x, const Tensor& w, const Tensor& b,
                  Tensor& y) {
-  affine_act_into<Act::kNone>(x, w, b, y, "affine_into");
+  affine_raw(Act::kNone, x, w, b, y, "affine_into");
 }
 
 void affine_sigmoid_into(const Tensor& x, const Tensor& w, const Tensor& b,
                          Tensor& y) {
-  affine_act_into<Act::kSigmoid>(x, w, b, y, "affine_sigmoid_into");
+  affine_raw(Act::kSigmoid, x, w, b, y, "affine_sigmoid_into");
 }
 
 void affine_tanh_into(const Tensor& x, const Tensor& w, const Tensor& b,
                       Tensor& y) {
-  affine_act_into<Act::kTanh>(x, w, b, y, "affine_tanh_into");
+  affine_raw(Act::kTanh, x, w, b, y, "affine_tanh_into");
 }
 
 void affine_relu_into(const Tensor& x, const Tensor& w, const Tensor& b,
                       Tensor& y) {
-  affine_act_into<Act::kRelu>(x, w, b, y, "affine_relu_into");
+  affine_raw(Act::kRelu, x, w, b, y, "affine_relu_into");
 }
 
 void affine2_sigmoid_into(const Tensor& x, const Tensor& wi, const Tensor& bi,
                           const Tensor& h, const Tensor& wh, const Tensor& bh,
                           Tensor& y) {
-  check_affine(x, wi, bi, "affine2_sigmoid_into(x)");
-  check_affine(h, wh, bh, "affine2_sigmoid_into(h)");
+  check_affine(x.cols(), wi.rows(), wi.cols(), bi, "affine2_sigmoid_into(x)");
+  check_affine(h.cols(), wh.rows(), wh.cols(), bh, "affine2_sigmoid_into(h)");
   check(x.rows() == h.rows() && wi.rows() == wh.rows(),
         "affine2_sigmoid_into: row mismatch");
-  y.resize(x.rows(), wi.rows());
-  const detail::KernelTable& kt = detail::active_kernels();
-  kt.gemm(Act::kNone, /*accumulate=*/false, x.data(), wi.data(), bi.data(),
-          y.data(), x.rows(), x.cols(), wi.rows());
-  kt.gemm(Act::kSigmoid, /*accumulate=*/true, h.data(), wh.data(), bh.data(),
-          y.data(), h.rows(), h.cols(), wh.rows());
+  gemm_into(Act::kNone, false, x,
+            detail::scratch_panels(wi.data(), wi.rows(), wi.cols()),
+            wi.rows(), bi, y);
+  gemm_into(Act::kSigmoid, true, h,
+            detail::scratch_panels(wh.data(), wh.rows(), wh.cols()),
+            wh.rows(), bh, y);
 }
 
 void affine_row_into(std::span<const float> x, const Tensor& w,
@@ -74,49 +88,76 @@ void affine_row_into(std::span<const float> x, const Tensor& w,
   check(x.size() == w.cols() && out.size() == w.rows() &&
             b.size() == w.rows(),
         "affine_row_into: shape mismatch");
+  detail::active_kernels().gemm(
+      Act::kNone, /*accumulate=*/false, x.data(),
+      detail::scratch_panels(w.data(), w.rows(), w.cols()), b.data(),
+      out.data(), 1, x.size(), w.rows());
+}
+
+void affine_into(const Tensor& x, const PackedWeight& w, const Tensor& b,
+                 Tensor& y) {
+  affine_packed(Act::kNone, false, x, w, b, y, "affine_into");
+}
+
+void affine_relu_into(const Tensor& x, const PackedWeight& w, const Tensor& b,
+                      Tensor& y) {
+  affine_packed(Act::kRelu, false, x, w, b, y, "affine_relu_into");
+}
+
+void affine_row_into(std::span<const float> x, const PackedWeight& w,
+                     const Tensor& b, std::span<float> out) {
+  check(x.size() == w.cols && out.size() == w.rows && b.size() == w.rows &&
+            (w.ready() || w.rows * w.cols == 0),
+        "affine_row_into: shape mismatch or weight not packed");
   detail::active_kernels().gemm(Act::kNone, /*accumulate=*/false, x.data(),
-                                w.data(), b.data(), out.data(), 1, x.size(),
-                                w.rows());
+                                w.data.data(), b.data(), out.data(), 1,
+                                x.size(), w.rows);
+}
+
+void PackedGruWeights::pack(const GruWeights& w) {
+  const std::pair<const Tensor*, PackedWeight*> mats[] = {
+      {w.w_ir, &w_ir}, {w.w_iz, &w_iz}, {w.w_in, &w_in},
+      {w.w_hr, &w_hr}, {w.w_hz, &w_hz}, {w.w_hn, &w_hn}};
+  for (const auto& [t, p] : mats)
+    pack_weight(t->data(), t->rows(), t->cols(), *p);
 }
 
 namespace {
 
 /// The shared GRU elementwise epilogue: n = tanh(out + r∘q), s' =
 /// (1-z)∘n + z∘h, in place over `out`. One definition so the fp32 and int8
-/// paths finish identically.
+/// paths finish identically; rows split across the team like the GEMMs
+/// (elementwise, so bit-invariant to threads).
 void gru_elementwise_finish(const Tensor& h, GruScratch& ws, Tensor& out,
                             std::size_t m, std::size_t hid) {
-  float* po = out.data();
-  const float* pr = ws.r.data();
-  const float* pz = ws.z.data();
-  const float* pq = ws.q.data();
-  const float* ph = h.data();
-  const std::size_t total = m * hid;
-  // tanhf dominates this pass at serving batch sizes; split rows across
-  // the team like the GEMMs do (elementwise, so bit-invariant to threads).
-#pragma omp parallel for schedule(static) if (m >= 16)
-  for (std::size_t i = 0; i < total; ++i) {
-    const float n = std::tanh(po[i] + pr[i] * pq[i]);
-    po[i] = (1.0f - pz[i]) * n + pz[i] * ph[i];
-  }
+  detail::active_kernels().gru_finish(out.data(), ws.r.data(), ws.z.data(),
+                                      ws.q.data(), h.data(), m * hid,
+                                      m >= 16);
 }
 
 }  // namespace
 
 void gru_forward_into(const Tensor& x, const Tensor& h, const GruWeights& w,
-                      GruScratch& ws, Tensor& out) {
-  const std::size_t m = x.rows(), hid = h.cols();
-  check(h.rows() == m, "gru_forward_into: batch mismatch");
-
+                      const PackedGruWeights& pw, GruScratch& ws,
+                      Tensor& out) {
+  check(h.rows() == x.rows(), "gru_forward_into: batch mismatch");
   // r = sigmoid(W_ir x + b_ir + W_hr h + b_hr); z likewise.
-  affine2_sigmoid_into(x, *w.w_ir, *w.b_ir, h, *w.w_hr, *w.b_hr, ws.r);
-  affine2_sigmoid_into(x, *w.w_iz, *w.b_iz, h, *w.w_hz, *w.b_hz, ws.z);
+  affine_packed(Act::kNone, false, x, pw.w_ir, *w.b_ir, ws.r, "gru(w_ir)");
+  affine_packed(Act::kSigmoid, true, h, pw.w_hr, *w.b_hr, ws.r, "gru(w_hr)");
+  affine_packed(Act::kNone, false, x, pw.w_iz, *w.b_iz, ws.z, "gru(w_iz)");
+  affine_packed(Act::kSigmoid, true, h, pw.w_hz, *w.b_hz, ws.z, "gru(w_hz)");
   // q = W_hn h + b_hn (pre reset-gating).
-  affine_into(h, *w.w_hn, *w.b_hn, ws.q);
+  affine_packed(Act::kNone, false, h, pw.w_hn, *w.b_hn, ws.q, "gru(w_hn)");
   // out <- W_in x + b_in, then one elementwise pass finishes
   // n = tanh(out + r∘q) and s' = (1-z)∘n + z∘h.
-  affine_into(x, *w.w_in, *w.b_in, out);
-  gru_elementwise_finish(h, ws, out, m, hid);
+  affine_packed(Act::kNone, false, x, pw.w_in, *w.b_in, out, "gru(w_in)");
+  gru_elementwise_finish(h, ws, out, x.rows(), h.cols());
+}
+
+void gru_forward_into(const Tensor& x, const Tensor& h, const GruWeights& w,
+                      GruScratch& ws, Tensor& out) {
+  ws.panels.pack(w);
+  gru_forward_into(x, h, w, ws.panels, ws, out);
 }
 
 void qgru_forward_into(const Tensor& x, const Tensor& h, const GruWeights& w,

@@ -6,6 +6,12 @@
 // The reference ops in tensor/ops.cpp stay as the training/gradcheck path;
 // tests/kernels pins the two within 1e-6 of each other.
 //
+// Weights come in two forms. A PackedWeight is the prepared form: packed
+// once per model (nn::Linear::prepare, nn::GruCell::prepare) and read by
+// every engine call. A raw Tensor weight is packed into scratch on every
+// call, through the same kernel, so both forms give the same bits; the raw
+// entries serve tests, benches and one-off callers.
+//
 // Layering: kernels depends only on tensor/. The nn and tgnn layers call
 // down into it (GruCell::forward_into, VanillaAttention::forward_into,
 // SimplifiedAttention::aggregate_into, Decoder::score_with), each routing
@@ -14,6 +20,7 @@
 
 #include <span>
 
+#include "kernels/gemm.hpp"
 #include "kernels/quant.hpp"
 #include "tensor/tensor.hpp"
 
@@ -42,18 +49,39 @@ void affine2_sigmoid_into(const Tensor& x, const Tensor& wi, const Tensor& bi,
 void affine_row_into(std::span<const float> x, const Tensor& w,
                      const Tensor& b, std::span<float> out);
 
+// ---- prepared-weight forms (w packed by pack_weight) ----------------------
+
+/// y = x·wᵀ + b.
+void affine_into(const Tensor& x, const PackedWeight& w, const Tensor& b,
+                 Tensor& y);
+/// y = relu(x·wᵀ + b).
+void affine_relu_into(const Tensor& x, const PackedWeight& w, const Tensor& b,
+                      Tensor& y);
+/// out = x·wᵀ + b for one row.
+void affine_row_into(std::span<const float> x, const PackedWeight& w,
+                     const Tensor& b, std::span<float> out);
+
 /// Non-owning view of a GruCell's 12 parameter tensors.
 struct GruWeights {
   const Tensor *w_ir, *w_iz, *w_in, *b_ir, *b_iz, *b_in;
   const Tensor *w_hr, *w_hz, *w_hn, *b_hr, *b_hz, *b_hn;
 };
 
+/// The six GRU weight matrices packed (biases stay with GruWeights).
+struct PackedGruWeights {
+  PackedWeight w_ir, w_iz, w_in, w_hr, w_hz, w_hn;
+  [[nodiscard]] bool ready() const { return w_ir.ready(); }
+  /// pack_weight on each matrix.
+  void pack(const GruWeights& w);
+};
+
 /// Gate scratch for gru_forward_into; embed one per BatchWorkspace. The
-/// quantized-activation panels (qx, qh) are touched only by the int8 path
-/// and stay empty under fp32.
+/// quantized-activation panels (qx, qh) are touched only by the int8 path,
+/// and `panels` only by the raw-weight GRU entry.
 struct GruScratch {
   Tensor r, z, q;
   QuantActs qx, qh;
+  PackedGruWeights panels;
   void reserve(std::size_t rows, std::size_t hid) {
     r.reserve(rows, hid);
     z.reserve(rows, hid);
@@ -62,9 +90,14 @@ struct GruScratch {
 };
 
 /// Fused GRU forward (Eq. 7-10): out = (1-z)∘tanh(x·w_inᵀ + b_in + r∘q) +
-/// z∘h, with r/z gates from affine2_sigmoid_into and q = h·w_hnᵀ + b_hn.
-/// x: [m, in], h: [m, hid]; out resized to [m, hid]. Zero allocations once
-/// `ws` and `out` have capacity.
+/// z∘h, with r/z gates from two GEMMs each (the second accumulating, with
+/// the sigmoid epilogue) and q = h·w_hnᵀ + b_hn. x: [m, in], h: [m, hid];
+/// out resized to [m, hid]. Weight matrices from `pw`, biases from `w`.
+/// Zero allocations once `ws` and `out` have capacity.
+void gru_forward_into(const Tensor& x, const Tensor& h, const GruWeights& w,
+                      const PackedGruWeights& pw, GruScratch& ws, Tensor& out);
+
+/// The same with the raw weights, packed into `ws.panels` on each call.
 void gru_forward_into(const Tensor& x, const Tensor& h, const GruWeights& w,
                       GruScratch& ws, Tensor& out);
 

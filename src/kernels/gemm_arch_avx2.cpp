@@ -1,6 +1,7 @@
-// AVX2+FMA build of the explicit-lane GEMM micro-kernels. CMake compiles
-// this TU with -mavx2 -mfma when the compiler supports them; otherwise the
-// guards below degrade it to a stub table the dispatcher skips.
+// AVX2+FMA build of the packed-panel GEMM (gemm_panel.inc) and of the int8
+// tier. CMake compiles this TU with -mavx2 -mfma when the compiler supports
+// them; otherwise the guards below degrade it to a stub table the
+// dispatcher skips.
 #include "kernels/gemm_dispatch.hpp"
 
 #if defined(__GNUC__) && defined(__AVX2__) && defined(__FMA__)
@@ -12,121 +13,106 @@
 
 #include "kernels/quant_core.hpp"
 
-#define TGNN_LANES_NS lanes_avx2
-#include "kernels/gemm_lanes.inc"
-#undef TGNN_LANES_NS
+#define TGNN_PANEL_NS panel_avx2
+#define TGNN_PANEL_VEC 8
+#define TGNN_PANEL_ROWS 6
+#define TGNN_PANEL_ACC 12
+#define TGNN_PANEL_FMADD(a, b, c) _mm256_fmadd_ps((a), (b), (c))
+#include "kernels/gemm_panel.inc"
+#undef TGNN_PANEL_NS
+#undef TGNN_PANEL_VEC
+#undef TGNN_PANEL_ROWS
+#undef TGNN_PANEL_ACC
+#undef TGNN_PANEL_FMADD
 
 namespace tgnn::kernels::detail {
 
 namespace quant_avx2 {
 
-// int8·int8 via the maddubs sign trick: maddubs wants u8·s8, so feed it
-// |a| (u8) and b·sign(a) — the pairwise i16 sums cannot saturate because
-// |a|,|b| <= 127 (2·127² < 32767). madd with ones widens to exact i32.
-inline __m256i dot_step(__m256i acc, __m256i va, __m256i vb) {
-  const __m256i abs_a = _mm256_sign_epi8(va, va);
-  const __m256i sgn_b = _mm256_sign_epi8(vb, va);
-  const __m256i p16 = _mm256_maddubs_epi16(abs_a, sgn_b);
-  return _mm256_add_epi32(acc, _mm256_madd_epi16(p16, _mm256_set1_epi16(1)));
-}
+// int8·int8 through pmaddwd: AVX2 has no unsigned×signed dot that cannot
+// saturate on ±127 codes in both operands, so codes are widened to int16
+// — the weights once, at pack time, into panels of k/2 rows × 16 columns
+// × 2 codes; the activations per tile, a k-block of each row at a time,
+// into a small stack buffer from which one 32-bit load broadcasts a pair.
+// pmaddwd then sums each column's two products into exact int32 lanes
+// (2·127² per step), accumulated as an outer product over the panel.
 
-inline std::int32_t hsum(__m256i v) {
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
-                            _mm256_extracti128_si256(v, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s);
+/// Codes [n, k] -> int16 panels of k/2 rows × 16 columns × 2 codes.
+void pack(const std::int8_t* q, std::size_t n, std::size_t k,
+          std::int8_t* out) {
+  std::size_t idx = 0;
+  for (std::size_t p = 0; p < panel_count(n); ++p)
+    for (std::size_t g = 0; g < k; g += 2)
+      for (std::size_t c = 0; c < kPanel; ++c) {
+        const std::size_t r = p * kPanel + c;
+        for (std::size_t t = 0; t < 2; ++t, idx += 2) {
+          const std::int16_t v = r < n ? q[r * k + g + t] : std::int16_t{0};
+          std::memcpy(out + idx, &v, sizeof v);
+        }
+      }
 }
 
 inline __m256i loadv(const std::int8_t* p) {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
 }
 
-template <Act A, bool Accumulate>
-void qgemm(const std::int8_t* a, const float* a_scale, const std::int8_t* b,
-           float b_scale, const float* bias, float* c, std::size_t m,
-           std::size_t k, std::size_t n) {
-#pragma omp parallel for schedule(static) if (parallel_worthwhile(m, k, n))
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + i * k;
-    float* crow = c + i * n;
-    const float s = a_scale[i] * b_scale;
-    std::size_t j = 0;
-    for (; j + kColBlock <= n; j += kColBlock) {
-      const std::int8_t* b0 = b + (j + 0) * k;
-      const std::int8_t* b1 = b + (j + 1) * k;
-      const std::int8_t* b2 = b + (j + 2) * k;
-      const std::int8_t* b3 = b + (j + 3) * k;
-      __m256i v0 = _mm256_setzero_si256(), v1 = _mm256_setzero_si256();
-      __m256i v2 = _mm256_setzero_si256(), v3 = _mm256_setzero_si256();
-      std::size_t kk = 0;
-      for (; kk + 32 <= k; kk += 32) {
-        const __m256i va = loadv(arow + kk);
-        v0 = dot_step(v0, va, loadv(b0 + kk));
-        v1 = dot_step(v1, va, loadv(b1 + kk));
-        v2 = dot_step(v2, va, loadv(b2 + kk));
-        v3 = dot_step(v3, va, loadv(b3 + kk));
+struct Tier {
+  static constexpr std::size_t kRows = 6;
+  static constexpr std::size_t kAcc = 12;
+  static constexpr std::size_t kVecs = 2;
+  static constexpr std::size_t kCodeBytes = 2;
+  static constexpr std::size_t kBlock = 256;  // codes per widened k-block
+
+  template <std::size_t R, std::size_t P>
+  static void tile(const std::int8_t* a, std::size_t k,
+                   const std::int8_t* panels, std::size_t stride,
+                   std::size_t /*j0*/, std::size_t /*n*/,
+                   const std::int32_t* /*row_sum*/, std::int32_t* out) {
+    __m256i acc[R][2 * P];
+    for (std::size_t r = 0; r < R; ++r)
+      for (std::size_t t = 0; t < 2 * P; ++t)
+        acc[r][t] = _mm256_setzero_si256();
+    alignas(32) std::int16_t wide[R][kBlock];
+    // k is a multiple of kQuantKPad (64), so blocks hold whole 16-code
+    // groups and whole pairs.
+    for (std::size_t k0 = 0; k0 < k; k0 += kBlock) {
+      const std::size_t len = k - k0 < kBlock ? k - k0 : kBlock;
+      for (std::size_t r = 0; r < R; ++r)
+        for (std::size_t g = 0; g < len; g += 16)
+          _mm256_store_si256(
+              reinterpret_cast<__m256i*>(&wide[r][g]),
+              _mm256_cvtepi8_epi16(_mm_loadu_si128(
+                  reinterpret_cast<const __m128i*>(a + r * k + k0 + g))));
+      for (std::size_t g = 0; g < len; g += 2) {
+        const std::int8_t* row = panels + (k0 + g) * 2 * kPanel;
+        __m256i b[2 * P];
+        for (std::size_t p = 0; p < P; ++p) {
+          b[2 * p] = loadv(row + p * stride);
+          b[2 * p + 1] = loadv(row + p * stride + 32);
+        }
+        for (std::size_t r = 0; r < R; ++r) {
+          std::int32_t pair;
+          std::memcpy(&pair, &wide[r][g], sizeof pair);
+          const __m256i av = _mm256_set1_epi32(pair);
+          for (std::size_t t = 0; t < 2 * P; ++t)
+            acc[r][t] =
+                _mm256_add_epi32(acc[r][t], _mm256_madd_epi16(av, b[t]));
+        }
       }
-      std::int32_t acc0 = hsum(v0), acc1 = hsum(v1);
-      std::int32_t acc2 = hsum(v2), acc3 = hsum(v3);
-      for (; kk < k; ++kk) {
-        const std::int32_t av = arow[kk];
-        acc0 += av * b0[kk];
-        acc1 += av * b1[kk];
-        acc2 += av * b2[kk];
-        acc3 += av * b3[kk];
-      }
-      crow[j + 0] = quant_finish<A>(Accumulate ? crow[j + 0] : 0.0f, acc0, s,
-                                    bias != nullptr ? bias[j + 0] : 0.0f);
-      crow[j + 1] = quant_finish<A>(Accumulate ? crow[j + 1] : 0.0f, acc1, s,
-                                    bias != nullptr ? bias[j + 1] : 0.0f);
-      crow[j + 2] = quant_finish<A>(Accumulate ? crow[j + 2] : 0.0f, acc2, s,
-                                    bias != nullptr ? bias[j + 2] : 0.0f);
-      crow[j + 3] = quant_finish<A>(Accumulate ? crow[j + 3] : 0.0f, acc3, s,
-                                    bias != nullptr ? bias[j + 3] : 0.0f);
     }
-    for (; j < n; ++j) {
-      const std::int8_t* brow = b + j * k;
-      __m256i v = _mm256_setzero_si256();
-      std::size_t kk = 0;
-      for (; kk + 32 <= k; kk += 32)
-        v = dot_step(v, loadv(arow + kk), loadv(brow + kk));
-      std::int32_t acc = hsum(v);
-      for (; kk < k; ++kk)
-        acc += static_cast<std::int32_t>(arow[kk]) * brow[kk];
-      crow[j] = quant_finish<A>(Accumulate ? crow[j] : 0.0f, acc, s,
-                                bias != nullptr ? bias[j] : 0.0f);
-    }
+    for (std::size_t r = 0; r < R; ++r)
+      for (std::size_t t = 0; t < 2 * P; ++t)
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i*>(out + (r * 2 * P + t) * 8), acc[r][t]);
   }
-}
+};
 
 void qgemm_entry(Act act, bool accumulate, const std::int8_t* a,
                  const float* a_scale, const std::int8_t* b, float b_scale,
-                 const std::int32_t* /*b_row_sum*/, const float* bias,
-                 float* c, std::size_t m, std::size_t k, std::size_t n) {
-  switch (act) {
-    case Act::kNone:
-      accumulate
-          ? qgemm<Act::kNone, true>(a, a_scale, b, b_scale, bias, c, m, k, n)
-          : qgemm<Act::kNone, false>(a, a_scale, b, b_scale, bias, c, m, k, n);
-      break;
-    case Act::kSigmoid:
-      accumulate ? qgemm<Act::kSigmoid, true>(a, a_scale, b, b_scale, bias, c,
-                                              m, k, n)
-                 : qgemm<Act::kSigmoid, false>(a, a_scale, b, b_scale, bias, c,
-                                               m, k, n);
-      break;
-    case Act::kTanh:
-      accumulate
-          ? qgemm<Act::kTanh, true>(a, a_scale, b, b_scale, bias, c, m, k, n)
-          : qgemm<Act::kTanh, false>(a, a_scale, b, b_scale, bias, c, m, k, n);
-      break;
-    case Act::kRelu:
-      accumulate
-          ? qgemm<Act::kRelu, true>(a, a_scale, b, b_scale, bias, c, m, k, n)
-          : qgemm<Act::kRelu, false>(a, a_scale, b, b_scale, bias, c, m, k, n);
-      break;
-  }
+                 const std::int32_t* b_row_sum, const float* bias, float* c,
+                 std::size_t m, std::size_t k, std::size_t n) {
+  QPanelDriver<Tier>::gemm(act, accumulate, a, a_scale, b, b_scale, b_row_sum,
+                           bias, c, m, k, n);
 }
 
 // ---- per-row quantization -------------------------------------------------
@@ -198,12 +184,13 @@ void quantize_rows(const float* x, std::size_t m, std::size_t k,
 }  // namespace quant_avx2
 
 KernelTable avx2_kernel_table() {
-  return {&lanes_avx2::gemm_entry, &lanes_avx2::dot_entry, "avx2+fma"};
+  return {&panel_avx2::gemm_entry, &panel_avx2::gru_finish_entry,
+          "avx2+fma"};
 }
 
 QuantKernelTable avx2_quant_table() {
   return {&quant_avx2::qgemm_entry, &quant_avx2::quantize_rows,
-          "avx2-maddubs"};
+          &quant_avx2::pack, 2, false, "avx2-madd"};
 }
 
 }  // namespace tgnn::kernels::detail

@@ -2,17 +2,22 @@
 // with -mavx512f/-mavx512vl/-mavx512bw/-mavx512vnni when the compiler
 // supports them; otherwise the guards degrade it to a stub tier the
 // dispatcher skips. This is a separate TU from gemm_arch_avx512.cpp so the
-// fp32 lane kernels are never compiled under VNNI/BW flags their runtime
+// fp32 panel kernel is never compiled under VNNI/BW flags its runtime
 // check does not verify.
 //
-// vpdpbusd computes u8·s8 dots, and AVX-512 has no vpsignb to replay the
-// avx2 sign trick, so the kernel runs in the offset domain instead: the s8
-// activations are biased to u8 by XOR 0x80 (a+128), and the surplus
-// 128·Σb_j is subtracted afterwards using the per-output-row weight sums
-// the quantizer precomputes (QuantWeight::row_sum). The scalar k-tail uses
-// the same offset arithmetic so one correction covers the whole row.
-// Products and row lengths here keep the i32 accumulators far from
-// overflow: 4·255·127 per step, k <= a few thousand.
+// The weights are packed once into the same k-major 16-column panels as
+// fp32, with k grouped by four: one 64-byte panel row holds 4 consecutive
+// codes of each of the 16 columns, the operand shape of vpdpbusd. The
+// micro-kernel broadcasts 4 activation codes per tile row and accumulates
+// an outer product — no horizontal reduction.
+//
+// vpdpbusd computes u8·s8 dots, and AVX-512 has no vpsignb to replay a
+// sign trick, so the kernel runs in the offset domain: the s8 activations
+// are biased to u8 by XOR 0x80 (a+128), and the surplus 128·Σb_j is
+// subtracted up front by starting each column's accumulator at
+// −128·row_sum[j] (QuantWeight::row_sum). Products and row lengths here
+// keep the i32 accumulators far from overflow: 4·255·127 per step, k <= a
+// few thousand.
 #include "kernels/gemm_dispatch.hpp"
 
 #if defined(__GNUC__) && defined(__AVX512F__) && defined(__AVX512VL__) && \
@@ -22,135 +27,76 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "kernels/quant_core.hpp"
 
 // GCC's 512->256/128 extract intrinsics route _mm256_undefined_si256()
 // through a masked builtin, which GCC 12 falsely flags (PR105593). Every
-// accumulator below is explicitly zero-initialized.
+// accumulator below is explicitly initialized.
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
 namespace tgnn::kernels::detail {
 
 namespace quant_avx512vnni {
 
-inline __m512i loadv(const std::int8_t* p) {
-  return _mm512_loadu_si512(reinterpret_cast<const void*>(p));
-}
-
-/// Offset a to u8: a + 128 == a XOR 0x80 for two's-complement int8.
-inline __m512i offset_u8(__m512i va) {
-  return _mm512_xor_si512(va, _mm512_set1_epi8(static_cast<char>(0x80)));
-}
-
-// Explicit tree reduction instead of _mm512_reduce_add_epi32, whose
-// _mm256_undefined_si256 plumbing trips -Wmaybe-uninitialized under GCC.
-inline std::int32_t hsum(__m512i v) {
-  const __m256i half = _mm256_add_epi32(_mm512_castsi512_si256(v),
-                                        _mm512_extracti64x4_epi64(v, 1));
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(half),
-                            _mm256_extracti128_si256(half, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s);
-}
-
-template <Act A, bool Accumulate>
-void qgemm(const std::int8_t* a, const float* a_scale, const std::int8_t* b,
-           float b_scale, const std::int32_t* b_row_sum, const float* bias,
-           float* c, std::size_t m, std::size_t k, std::size_t n) {
-#pragma omp parallel for schedule(static) if (parallel_worthwhile(m, k, n))
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + i * k;
-    float* crow = c + i * n;
-    const float s = a_scale[i] * b_scale;
-    std::size_t j = 0;
-    for (; j + kColBlock <= n; j += kColBlock) {
-      const std::int8_t* b0 = b + (j + 0) * k;
-      const std::int8_t* b1 = b + (j + 1) * k;
-      const std::int8_t* b2 = b + (j + 2) * k;
-      const std::int8_t* b3 = b + (j + 3) * k;
-      __m512i v0 = _mm512_setzero_si512(), v1 = _mm512_setzero_si512();
-      __m512i v2 = _mm512_setzero_si512(), v3 = _mm512_setzero_si512();
-      std::size_t kk = 0;
-      for (; kk + 64 <= k; kk += 64) {
-        const __m512i ua = offset_u8(loadv(arow + kk));
-        v0 = _mm512_dpbusd_epi32(v0, ua, loadv(b0 + kk));
-        v1 = _mm512_dpbusd_epi32(v1, ua, loadv(b1 + kk));
-        v2 = _mm512_dpbusd_epi32(v2, ua, loadv(b2 + kk));
-        v3 = _mm512_dpbusd_epi32(v3, ua, loadv(b3 + kk));
+/// Codes [n, k] -> panels of k/4 rows × 16 columns × 4 codes.
+void pack(const std::int8_t* q, std::size_t n, std::size_t k,
+          std::int8_t* out) {
+  std::size_t idx = 0;
+  for (std::size_t p = 0; p < panel_count(n); ++p)
+    for (std::size_t g = 0; g < k; g += 4)
+      for (std::size_t c = 0; c < kPanel; ++c) {
+        const std::size_t r = p * kPanel + c;
+        for (std::size_t t = 0; t < 4; ++t, ++idx)
+          out[idx] = r < n ? q[r * k + g + t] : std::int8_t{0};
       }
-      // Offset-domain accumulators; the scalar tail stays in the same
-      // domain so the single 128·row_sum correction below is exact.
-      std::int32_t acc0 = hsum(v0), acc1 = hsum(v1);
-      std::int32_t acc2 = hsum(v2), acc3 = hsum(v3);
-      for (; kk < k; ++kk) {
-        const std::int32_t ua = static_cast<std::int32_t>(arow[kk]) + 128;
-        acc0 += ua * b0[kk];
-        acc1 += ua * b1[kk];
-        acc2 += ua * b2[kk];
-        acc3 += ua * b3[kk];
+}
+
+struct Tier {
+  static constexpr std::size_t kRows = 8;
+  static constexpr std::size_t kAcc = 24;
+  static constexpr std::size_t kVecs = 1;
+  static constexpr std::size_t kCodeBytes = 1;
+
+  template <std::size_t R, std::size_t P>
+  static void tile(const std::int8_t* a, std::size_t k,
+                   const std::int8_t* panels, std::size_t stride,
+                   std::size_t j0, std::size_t n, const std::int32_t* row_sum,
+                   std::int32_t* out) {
+    __m512i acc[R][P];
+    for (std::size_t p = 0; p < P; ++p) {
+      alignas(64) std::int32_t init[kPanel] = {};
+      for (std::size_t c = 0; c < kPanel && j0 + p * kPanel + c < n; ++c)
+        init[c] = -128 * row_sum[j0 + p * kPanel + c];
+      const __m512i v = _mm512_load_si512(init);
+      for (std::size_t r = 0; r < R; ++r) acc[r][p] = v;
+    }
+    const __m512i x80 = _mm512_set1_epi8(static_cast<char>(0x80));
+    for (std::size_t g = 0; g < k; g += 4) {
+      __m512i b[P];
+      for (std::size_t p = 0; p < P; ++p)
+        b[p] = _mm512_loadu_si512(panels + p * stride + g * kPanel);
+      for (std::size_t r = 0; r < R; ++r) {
+        std::int32_t a4;
+        std::memcpy(&a4, a + r * k + g, sizeof a4);
+        const __m512i ua = _mm512_xor_si512(_mm512_set1_epi32(a4), x80);
+        for (std::size_t p = 0; p < P; ++p)
+          acc[r][p] = _mm512_dpbusd_epi32(acc[r][p], ua, b[p]);
       }
-      acc0 -= 128 * b_row_sum[j + 0];
-      acc1 -= 128 * b_row_sum[j + 1];
-      acc2 -= 128 * b_row_sum[j + 2];
-      acc3 -= 128 * b_row_sum[j + 3];
-      crow[j + 0] = quant_finish<A>(Accumulate ? crow[j + 0] : 0.0f, acc0, s,
-                                    bias != nullptr ? bias[j + 0] : 0.0f);
-      crow[j + 1] = quant_finish<A>(Accumulate ? crow[j + 1] : 0.0f, acc1, s,
-                                    bias != nullptr ? bias[j + 1] : 0.0f);
-      crow[j + 2] = quant_finish<A>(Accumulate ? crow[j + 2] : 0.0f, acc2, s,
-                                    bias != nullptr ? bias[j + 2] : 0.0f);
-      crow[j + 3] = quant_finish<A>(Accumulate ? crow[j + 3] : 0.0f, acc3, s,
-                                    bias != nullptr ? bias[j + 3] : 0.0f);
     }
-    for (; j < n; ++j) {
-      const std::int8_t* brow = b + j * k;
-      __m512i v = _mm512_setzero_si512();
-      std::size_t kk = 0;
-      for (; kk + 64 <= k; kk += 64)
-        v = _mm512_dpbusd_epi32(v, offset_u8(loadv(arow + kk)),
-                                loadv(brow + kk));
-      std::int32_t acc = hsum(v);
-      for (; kk < k; ++kk)
-        acc += (static_cast<std::int32_t>(arow[kk]) + 128) * brow[kk];
-      acc -= 128 * b_row_sum[j];
-      crow[j] = quant_finish<A>(Accumulate ? crow[j] : 0.0f, acc, s,
-                                bias != nullptr ? bias[j] : 0.0f);
-    }
+    for (std::size_t r = 0; r < R; ++r)
+      for (std::size_t p = 0; p < P; ++p)
+        _mm512_store_si512(out + (r * P + p) * kPanel, acc[r][p]);
   }
-}
+};
 
 void qgemm_entry(Act act, bool accumulate, const std::int8_t* a,
                  const float* a_scale, const std::int8_t* b, float b_scale,
                  const std::int32_t* b_row_sum, const float* bias, float* c,
                  std::size_t m, std::size_t k, std::size_t n) {
-  switch (act) {
-    case Act::kNone:
-      accumulate ? qgemm<Act::kNone, true>(a, a_scale, b, b_scale, b_row_sum,
-                                           bias, c, m, k, n)
-                 : qgemm<Act::kNone, false>(a, a_scale, b, b_scale, b_row_sum,
-                                            bias, c, m, k, n);
-      break;
-    case Act::kSigmoid:
-      accumulate ? qgemm<Act::kSigmoid, true>(a, a_scale, b, b_scale,
-                                              b_row_sum, bias, c, m, k, n)
-                 : qgemm<Act::kSigmoid, false>(a, a_scale, b, b_scale,
-                                               b_row_sum, bias, c, m, k, n);
-      break;
-    case Act::kTanh:
-      accumulate ? qgemm<Act::kTanh, true>(a, a_scale, b, b_scale, b_row_sum,
-                                           bias, c, m, k, n)
-                 : qgemm<Act::kTanh, false>(a, a_scale, b, b_scale, b_row_sum,
-                                            bias, c, m, k, n);
-      break;
-    case Act::kRelu:
-      accumulate ? qgemm<Act::kRelu, true>(a, a_scale, b, b_scale, b_row_sum,
-                                           bias, c, m, k, n)
-                 : qgemm<Act::kRelu, false>(a, a_scale, b, b_scale, b_row_sum,
-                                            bias, c, m, k, n);
-      break;
-  }
+  QPanelDriver<Tier>::gemm(act, accumulate, a, a_scale, b, b_scale, b_row_sum,
+                           bias, c, m, k, n);
 }
 
 // ---- per-row quantization -------------------------------------------------
@@ -199,7 +145,7 @@ void quantize_rows(const float* x, std::size_t m, std::size_t k,
 
 QuantKernelTable avx512_quant_table() {
   return {&quant_avx512vnni::qgemm_entry, &quant_avx512vnni::quantize_rows,
-          "avx512-vnni"};
+          &quant_avx512vnni::pack, 1, true, "avx512-vnni"};
 }
 
 }  // namespace tgnn::kernels::detail

@@ -1,97 +1,136 @@
-// INTERNAL: the portable (baseline-ISA) register-blocked GEMM core, plus
-// the activation/threshold vocabulary shared with the arch-dispatched lane
-// kernels (gemm_dispatch.hpp). Not part of the kernels/ public API —
-// include gemm.hpp or fused.hpp instead.
+// INTERNAL: the vocabulary shared by every ISA build of the GEMM kernels —
+// the packed-panel geometry, the activation set and its one vectorized
+// definition, and the threading threshold. Not part of the kernels/ public
+// API — include gemm.hpp or fused.hpp instead.
 //
-// This TU-neutral core is the *generic* entry of the kernel dispatch
-// table: it is what runs when the host CPU (or compiler) offers nothing
-// better. The AVX2/AVX-512 variants in gemm_lanes.inc replace it wholesale
-// at startup; within one process exactly one variant ever runs, so every
-// caller — per-row inference, batched inference, every backend — sees one
-// consistent set of per-element accumulation orders.
-//
-// Determinism contract (what makes batched == per-row provable): per
-// output element the accumulation sequence depends only on the inner
-// dimension k and the element's column-block position — never on how many
-// rows m the call carries and never on the OpenMP thread count. The m loop
-// only selects which elements are computed, so splitting one m-row call
-// into m single-row calls is bit-identical.
+// Numerics are written op by op. The library is compiled with
+// -ffp-contract=off, so no a*b+c here is ever fused behind the source's
+// back: the GEMM micro-kernel (gemm_panel.inc) fuses explicitly, and the
+// activations below use only IEEE-exact operations (+ - * /, compares,
+// selects, integer bit tricks). Their bits therefore do not depend on the
+// ISA a TU is compiled for, nor on the vector width they run at.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 namespace tgnn::kernels::detail {
 
 // Parallelize when the fork/join is amortized: either the output is large
 // (the original reference-ops policy) or the call carries enough MACs —
-// the batched-inference shapes, where splitting the row panels across the
+// the batched-inference shapes, where splitting the row tiles across the
 // OpenMP team is the "cpu-mt" scaling mechanism. Per-node attention shapes
 // (m ~ 10 neighbors) stay under both bounds and run serial.
 constexpr std::size_t kParallelThreshold = 64 * 64;   // m * n
 constexpr std::size_t kParallelMacs = 1u << 17;       // m * k * n
-// Register block: one pass over the A row feeds this many B rows at once.
-constexpr std::size_t kColBlock = 4;
 
 inline bool parallel_worthwhile(std::size_t m, std::size_t k, std::size_t n) {
   return m * n >= kParallelThreshold || m * k * n >= kParallelMacs;
 }
 
+/// Output columns per packed weight panel: a weight [n, k] is stored as
+/// ceil(n / kPanel) panels of k rows × kPanel columns, k-major, with the
+/// columns past n zero (see pack_weight in gemm.hpp).
+constexpr std::size_t kPanel = 16;
+
+constexpr std::size_t panel_count(std::size_t n) {
+  return (n + kPanel - 1) / kPanel;
+}
+
 enum class Act { kNone, kSigmoid, kTanh, kRelu };
 
-template <Act A>
-inline float activate(float v) {
-  if constexpr (A == Act::kSigmoid) return 1.0f / (1.0f + std::exp(-v));
-  if constexpr (A == Act::kTanh) return std::tanh(v);
-  if constexpr (A == Act::kRelu) return v > 0.0f ? v : 0.0f;
+// ---- vectorized activations -------------------------------------------------
+// V is a GCC vector of floats; `x < y` on it yields the matching signed
+// int32 vector, which is what the bit tricks below operate on.
+//
+// Internal linkage: TUs built for different ISAs instantiate these for the
+// same vector types, and a shared (weak) symbol would let the linker run
+// one TU's AVX-512 code from another's baseline caller.
+namespace {
+
+/// Reinterpret the bits of one same-sized value as another type.
+template <class To, class From>
+inline To bits_as(From v) {
+  static_assert(sizeof(To) == sizeof(From));
+  To t;
+  __builtin_memcpy(&t, &v, sizeof t);
+  return t;
+}
+
+/// Broadcast one float to every lane. s − (+0) is s exactly (−0 and NaN
+/// included), and the compiler folds it to a single broadcast.
+template <class V>
+inline V splat(float s) {
+  return s - V{};
+}
+
+/// e^x for x in [-87, 88] (clamped there; NaN passes through): Cephes
+/// expf's range reduction and polynomial, x = n·ln2 + r with n rounded to
+/// nearest and |r| <= ln2/2, scaled by 2^n built in the exponent bits.
+template <class V>
+inline V exp_v(V x) {
+  using VI = decltype(x < x);
+  x = x < -87.0f ? splat<V>(-87.0f) : x;
+  x = x > 88.0f ? splat<V>(88.0f) : x;
+  // Round x·log2(e) to nearest through the 1.5·2^23 magic constant: the
+  // sum's low mantissa bits are then n in two's complement.
+  const V magic = splat<V>(12582912.0f);
+  const V t = x * 1.44269504088896341f + magic;
+  const V n = t - magic;
+  V r = x - n * 0.693359375f;
+  r = r - n * -2.12194440e-4f;
+  const V z = r * r;
+  V p = r * 1.9875691500e-4f + 1.3981999507e-3f;
+  p = p * r + 8.3334519073e-3f;
+  p = p * r + 4.1665795894e-2f;
+  p = p * r + 1.6666665459e-1f;
+  p = p * r + 5.0000001201e-1f;
+  p = p * z + r + 1.0f;
+  const VI e = (bits_as<VI>(t) - bits_as<VI>(magic) + 127) << 23;
+  return p * bits_as<V>(e);
+}
+
+/// 1 / (1 + e^-x).
+template <class V>
+inline V sigmoid_v(V x) {
+  return 1.0f / (exp_v(-x) + 1.0f);
+}
+
+/// tanh(x), odd by construction: Cephes tanhf's polynomial below |x| =
+/// 0.625, 1 − 2/(e^{2|x|} + 1) above it, and the sign bit of x put back
+/// last (so tanh(−0) = −0 and NaN stays NaN).
+template <class V>
+inline V tanh_v(V x) {
+  using VI = decltype(x < x);
+  const VI bits = bits_as<VI>(x);
+  const V ax = bits_as<V>(bits & 0x7fffffff);
+  const V z = ax * ax;
+  V p = z * -5.70498872745e-3f + 2.06390887954e-2f;
+  p = p * z - 5.37397155531e-2f;
+  p = p * z + 1.33314422036e-1f;
+  p = p * z - 3.33332819422e-1f;
+  const V small = p * z * ax + ax;
+  const V large = 1.0f - 2.0f / (exp_v(ax + ax) + 1.0f);
+  const V t = ax < 0.625f ? small : large;
+  return bits_as<V>(bits_as<VI>(t) | (bits & INT32_MIN));
+}
+
+template <Act A, class V>
+inline V activate_v(V v) {
+  if constexpr (A == Act::kSigmoid) return sigmoid_v(v);
+  if constexpr (A == Act::kTanh) return tanh_v(v);
+  if constexpr (A == Act::kRelu) return v > 0.0f ? v : V{};
   return v;
 }
 
-inline float dot_simd(const float* a, const float* b, std::size_t k) {
-  float acc = 0.0f;
-#pragma omp simd reduction(+ : acc)
-  for (std::size_t i = 0; i < k; ++i) acc += a[i] * b[i];
-  return acc;
+/// One lane of the vector definition — the scalar form every scalar
+/// caller uses, so a scalar and a vector epilogue give the same bits.
+template <Act A>
+inline float activate(float v) {
+  typedef float v4 __attribute__((vector_size(4 * sizeof(float))));
+  return activate_v<A>(splat<v4>(v))[0];
 }
 
-/// c = act((Accumulate ? c : 0) + a[m,k]·b[n,k]ᵀ + bias), bias nullable.
-template <Act A, bool Accumulate>
-void gemm_nt_act(const float* a, const float* b, const float* bias, float* c,
-                 std::size_t m, std::size_t k, std::size_t n) {
-#pragma omp parallel for schedule(static) if (parallel_worthwhile(m, k, n))
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    std::size_t j = 0;
-    for (; j + kColBlock <= n; j += kColBlock) {
-      const float* b0 = b + (j + 0) * k;
-      const float* b1 = b + (j + 1) * k;
-      const float* b2 = b + (j + 2) * k;
-      const float* b3 = b + (j + 3) * k;
-      float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-#pragma omp simd reduction(+ : acc0, acc1, acc2, acc3)
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const float av = arow[kk];
-        acc0 += av * b0[kk];
-        acc1 += av * b1[kk];
-        acc2 += av * b2[kk];
-        acc3 += av * b3[kk];
-      }
-      crow[j + 0] = activate<A>((Accumulate ? crow[j + 0] : 0.0f) + acc0 +
-                                (bias != nullptr ? bias[j + 0] : 0.0f));
-      crow[j + 1] = activate<A>((Accumulate ? crow[j + 1] : 0.0f) + acc1 +
-                                (bias != nullptr ? bias[j + 1] : 0.0f));
-      crow[j + 2] = activate<A>((Accumulate ? crow[j + 2] : 0.0f) + acc2 +
-                                (bias != nullptr ? bias[j + 2] : 0.0f));
-      crow[j + 3] = activate<A>((Accumulate ? crow[j + 3] : 0.0f) + acc3 +
-                                (bias != nullptr ? bias[j + 3] : 0.0f));
-    }
-    for (; j < n; ++j) {
-      const float acc = dot_simd(arow, b + j * k, k);
-      crow[j] = activate<A>((Accumulate ? crow[j] : 0.0f) + acc +
-                            (bias != nullptr ? bias[j] : 0.0f));
-    }
-  }
-}
+}  // namespace
 
 }  // namespace tgnn::kernels::detail

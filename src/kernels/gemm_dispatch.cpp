@@ -5,38 +5,28 @@
 
 #include "kernels/quant_core.hpp"
 
+// The generic build of the panel GEMM: baseline ISA, 128-bit vectors, no
+// FMA (the product rounds before the add).
+#define TGNN_PANEL_NS panel_generic
+#define TGNN_PANEL_VEC 4
+#define TGNN_PANEL_ROWS 2
+#define TGNN_PANEL_ACC 8
+#define TGNN_PANEL_FMADD(a, b, c) ((a) * (b) + (c))
+#include "kernels/gemm_panel.inc"
+#undef TGNN_PANEL_NS
+#undef TGNN_PANEL_VEC
+#undef TGNN_PANEL_ROWS
+#undef TGNN_PANEL_ACC
+#undef TGNN_PANEL_FMADD
+
 namespace tgnn::kernels::detail {
 
 namespace {
 
-void generic_gemm(Act act, bool accumulate, const float* a, const float* b,
-                  const float* bias, float* c, std::size_t m, std::size_t k,
-                  std::size_t n) {
-  switch (act) {
-    case Act::kNone:
-      accumulate ? gemm_nt_act<Act::kNone, true>(a, b, bias, c, m, k, n)
-                 : gemm_nt_act<Act::kNone, false>(a, b, bias, c, m, k, n);
-      break;
-    case Act::kSigmoid:
-      accumulate ? gemm_nt_act<Act::kSigmoid, true>(a, b, bias, c, m, k, n)
-                 : gemm_nt_act<Act::kSigmoid, false>(a, b, bias, c, m, k, n);
-      break;
-    case Act::kTanh:
-      accumulate ? gemm_nt_act<Act::kTanh, true>(a, b, bias, c, m, k, n)
-                 : gemm_nt_act<Act::kTanh, false>(a, b, bias, c, m, k, n);
-      break;
-    case Act::kRelu:
-      accumulate ? gemm_nt_act<Act::kRelu, true>(a, b, bias, c, m, k, n)
-                 : gemm_nt_act<Act::kRelu, false>(a, b, bias, c, m, k, n);
-      break;
-  }
+KernelTable generic_table() {
+  return {&panel_generic::gemm_entry, &panel_generic::gru_finish_entry,
+          "generic"};
 }
-
-float generic_dot(const float* a, const float* b, std::size_t k) {
-  return dot_simd(a, b, k);
-}
-
-KernelTable generic_table() { return {&generic_gemm, &generic_dot, "generic"}; }
 
 void generic_qgemm(Act act, bool accumulate, const std::int8_t* a,
                    const float* a_scale, const std::int8_t* b, float b_scale,
@@ -80,7 +70,8 @@ void generic_quantize_rows(const float* x, std::size_t m, std::size_t k,
 }
 
 QuantKernelTable generic_quant_table() {
-  return {&generic_qgemm, &generic_quantize_rows, "generic"};
+  return {&generic_qgemm, &generic_quantize_rows, nullptr, 0, false,
+          "generic"};
 }
 
 QuantKernelTable resolve_quant() {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "kernels/gemm_dispatch.hpp"
 #include "kernels/quant_core.hpp"
@@ -14,6 +15,10 @@ namespace tgnn::kernels {
 namespace {
 
 using detail::Act;
+
+// Quantize rows on the whole team once a panel holds this many elements
+// (a 9-row, 472-wide GRU input); below it the fork costs more than it saves.
+constexpr std::size_t kQuantParallelElems = 1u << 12;
 
 void check(bool cond, const char* msg) {
   if (!cond) throw std::invalid_argument(msg);
@@ -70,10 +75,19 @@ void quantize_rows_into(const Tensor& x, QuantActs& out) {
   out.stride = quant_padded(k);
   if (out.data.size() < m * out.stride) out.data.resize(m * out.stride);
   if (out.scale.size() < m) out.scale.resize(m);
-  // Hot path: one dispatched pass over the whole panel (see QuantizeRowsFn
-  // in gemm_dispatch.hpp for why this is hand-vectorized per tier).
-  detail::active_quant_kernels().quantize(x.data(), m, k, out.stride,
-                                          out.data.data(), out.scale.data());
+  // Hot path: one dispatched pass per row (see QuantizeRowsFn in
+  // gemm_dispatch.hpp for why this is hand-vectorized per tier), split
+  // across the team that runs the GEMMs it feeds. Rows are independent,
+  // so the split never changes a bit.
+  const detail::QuantizeRowsFn quantize =
+      detail::active_quant_kernels().quantize;
+  const float* src = x.data();
+  std::int8_t* q = out.data.data();
+  float* scale = out.scale.data();
+  const std::size_t stride = out.stride;
+#pragma omp parallel for schedule(static) if (m * k >= kQuantParallelElems)
+  for (std::size_t i = 0; i < m; ++i)
+    quantize(src + i * k, 1, k, stride, q + i * stride, scale + i);
 }
 
 void dequantize_into(const QuantActs& a, Tensor& out) {
@@ -88,22 +102,35 @@ void dequantize_into(const QuantActs& a, Tensor& out) {
 }
 
 void quantize_weight(const Tensor& w, QuantWeight& out) {
+  QuantWeight fresh;
   const std::size_t rows = w.rows(), cols = w.cols();
-  out.rows = rows;
-  out.cols = cols;
-  out.stride = quant_padded(cols);
-  out.data.assign(rows * out.stride, 0);
-  out.row_sum.assign(rows, 0);
-  out.scale = detail::quant_scale_from_absmax(
+  fresh.rows = rows;
+  fresh.cols = cols;
+  fresh.stride = quant_padded(cols);
+  fresh.data.assign(rows * fresh.stride, 0);
+  fresh.row_sum.assign(rows, 0);
+  fresh.scale = detail::quant_scale_from_absmax(
       detail::row_absmax_simd(w.data(), w.size()));
   for (std::size_t r = 0; r < rows; ++r) {
-    std::int8_t* qrow = &out.data[r * out.stride];
-    quantize_row_with_scale(w.row(r), out.scale,
+    std::int8_t* qrow = &fresh.data[r * fresh.stride];
+    quantize_row_with_scale(w.row(r), fresh.scale,
                             std::span<std::int8_t>(qrow, cols));
     std::int32_t s = 0;
     for (std::size_t cidx = 0; cidx < cols; ++cidx) s += qrow[cidx];
-    out.row_sum[r] = s;
+    fresh.row_sum[r] = s;
   }
+  // The panels derive from the codes alone, so equal codes and scale mean
+  // an equal snapshot.
+  if (out.rows == rows && out.cols == cols && out.scale == fresh.scale &&
+      out.data == fresh.data)
+    return;
+  const detail::QuantKernelTable& tab = detail::active_quant_kernels();
+  if (tab.pack != nullptr) {
+    fresh.panels.resize(detail::panel_count(rows) * fresh.stride *
+                        detail::kPanel * tab.code_bytes);
+    tab.pack(fresh.data.data(), rows, fresh.stride, fresh.panels.data());
+  }
+  out = std::move(fresh);
 }
 
 void dequantize_weight(const QuantWeight& w, Tensor& out) {
@@ -133,8 +160,10 @@ void qaffine_act_into(Act act, bool accumulate, const QuantActs& x,
   // The GEMM runs over the PADDED row length: the pad codes are zero, which
   // every tier's integer dot treats as an exact no-op, and k becoming a
   // vector-width multiple means no kernel ever takes its scalar k-tail.
+  const std::int8_t* codes =
+      w.panels.empty() ? w.data.data() : w.panels.data();
   detail::active_quant_kernels().qgemm(act, accumulate, x.data.data(),
-                                       x.scale.data(), w.data.data(), w.scale,
+                                       x.scale.data(), codes, w.scale,
                                        w.row_sum.data(), b.data(), y.data(),
                                        x.rows, x.stride, w.rows);
 }
@@ -164,6 +193,10 @@ void qaffine2_sigmoid_into(const QuantActs& x, const QuantWeight& wi,
 
 const char* quant_arch_name() {
   return detail::active_quant_kernels().name;
+}
+
+bool int8_faster_than_fp32() {
+  return detail::active_quant_kernels().beats_fp32;
 }
 
 }  // namespace tgnn::kernels

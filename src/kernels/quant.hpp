@@ -19,14 +19,16 @@
 //
 // Because the int32 dot is EXACT, the result is independent of lane width,
 // blocking shape, and summation order — every ISA tier (generic, avx2
-// maddubs, avx512 VNNI) produces bit-identical output, a stronger guarantee
+// pmaddwd, avx512 VNNI) produces bit-identical output, a stronger guarantee
 // than the fp32 kernels give (pinned by tests/kernels/quant_test.cpp).
 //
-// int8 is faster than fp32 only on a tier with a widening integer dot: on
-// one Xeon core, avx512-vnni and avx2-maddubs run the GRU and the 472->100
-// affine at 1.3-2.8x fp32, the generic tier at 0.36-0.54x (the table is in
-// DESIGN.md §2c). So the serving engine offers int8 as an overload rung
-// only when quant_arch_name() is not "generic".
+// int8 is faster than fp32 only on a tier whose integer dot outruns its
+// fp32 FMA: on one Xeon core, avx512-vnni runs the GRU and the 472->100
+// affine at 1.6-1.8x the fp32 panel kernel at batch 16-128, while
+// avx2-madd (pmaddwd) only matches avx2's fp32 FMA and the generic tier is
+// slower (the table is in DESIGN.md "Where int8 pays"). So the serving
+// engine offers int8 as an overload rung only where
+// int8_faster_than_fp32().
 #pragma once
 
 #include <cstdint>
@@ -34,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "kernels/gemm.hpp"
 #include "tensor/tensor.hpp"
 
 namespace tgnn::kernels {
@@ -61,10 +64,13 @@ inline constexpr std::size_t kQuantKPad = 64;
 /// Per-tensor-scale int8 snapshot of a [rows, cols] weight matrix (row-major
 /// like the fp32 Tensor it shadows, rows padded to `stride` zeros — see
 /// kQuantKPad). `row_sum[j]` = sum of row j's quantized values — the VNNI
-/// kernel's unsigned-offset correction term.
+/// kernel's unsigned-offset correction term. `panels` holds the same codes
+/// in the active int8 tier's packed layout (empty on the generic tier,
+/// whose kernel reads `data`).
 struct QuantWeight {
   std::vector<std::int8_t> data;     ///< [rows * stride]
   std::vector<std::int32_t> row_sum; ///< [rows]
+  AlignedVector<std::int8_t> panels;
   float scale = 0.0f;
   std::size_t rows = 0, cols = 0, stride = 0;
   [[nodiscard]] bool ready() const { return !data.empty(); }
@@ -95,7 +101,9 @@ void quantize_rows_into(const Tensor& x, QuantActs& out);
 void dequantize_into(const QuantActs& a, Tensor& out);
 
 /// Per-tensor weight quantization (scale = absmax/127; all-zero weight gets
-/// scale 0 and all-zero q).
+/// scale 0 and all-zero q), packed for the active tier. Leaves `out`
+/// untouched when it already holds exactly this snapshot, so re-preparing
+/// an unchanged model is read-only.
 void quantize_weight(const Tensor& w, QuantWeight& out);
 /// Dequantized copy ŵ = q·scale (tests / diagnostics).
 void dequantize_weight(const QuantWeight& w, Tensor& out);
@@ -117,8 +125,12 @@ void qaffine2_sigmoid_into(const QuantActs& x, const QuantWeight& wi,
                            const Tensor& bi, const QuantActs& h,
                            const QuantWeight& wh, const Tensor& bh, Tensor& y);
 
-/// Name of the int8 micro-kernel tier in use ("generic" | "avx2-maddubs" |
+/// Name of the int8 micro-kernel tier in use ("generic" | "avx2-madd" |
 /// "avx512-vnni"), resolved once per process like simd_arch_name().
 const char* quant_arch_name();
+
+/// Whether the int8 tier in use is measured faster than fp32 on the same
+/// machine (true on avx512-vnni only) — the overload ladder's int8 rung.
+bool int8_faster_than_fp32();
 
 }  // namespace tgnn::kernels

@@ -1,12 +1,13 @@
-// INTERNAL: the portable int8 GEMM core and the dequantization epilogue
-// shared by every int8 ISA tier. Not part of the kernels/ public API —
-// include quant.hpp instead.
+// INTERNAL: the portable int8 GEMM core, the row-tile driver of the
+// paneled int8 tiers and the dequantization epilogue shared by every int8
+// ISA tier. Not part of the kernels/ public API — include quant.hpp
+// instead.
 //
-// The int8 kernels have a stronger determinism story than the fp32 lanes:
+// The int8 kernels have a stronger determinism story than the fp32 ones:
 // the int32 accumulation is EXACT, so the per-element integer dot product
 // is identical no matter how a tier blocks or vectorizes it. The only
 // floating-point arithmetic is the fixed epilogue below — one expression,
-// shared by every tier — so generic / avx2-maddubs / avx512-vnni are
+// shared by every tier — so generic / avx2-madd / avx512-vnni are
 // bit-identical, per element, across row counts and thread counts.
 #pragma once
 
@@ -20,6 +21,10 @@
 #include "kernels/gemm_core.hpp"
 
 namespace tgnn::kernels::detail {
+
+// Internal linkage for everything below: the ISA TUs each instantiate these
+// under their own -m flags (see gemm_core.hpp's activations).
+namespace {
 
 // ---- quantization primitives shared by every tier --------------------------
 // The per-row quantize pass is itself dispatched (QuantizeRowsFn): GCC will
@@ -86,6 +91,118 @@ inline float quant_finish(float base, std::int32_t idot, float s, float bias) {
   return activate<A>(base + static_cast<float>(idot) * s + bias);
 }
 
+/// quant_finish over one panel row of kPanel dots, of which the first
+/// `cols` are stored — the same expression lane by lane.
+template <Act A, bool Accumulate>
+inline void quant_finish_row(const std::int32_t* idot, float s,
+                             const float* bias, float* c, std::size_t cols) {
+  typedef float vrow __attribute__((vector_size(kPanel * sizeof(float))));
+  typedef std::int32_t virow
+      __attribute__((vector_size(kPanel * sizeof(std::int32_t))));
+  const std::size_t bytes = cols * sizeof(float);
+  const bool full = cols == kPanel;  // fixed-size copies compile to moves
+  vrow base = {}, b = {};
+  virow d;
+  if (Accumulate) std::memcpy(&base, c, full ? sizeof base : bytes);
+  if (bias != nullptr) std::memcpy(&b, bias, full ? sizeof b : bytes);
+  std::memcpy(&d, idot, sizeof d);
+  const vrow v = activate_v<A>(
+      (base + __builtin_convertvector(d, vrow) * s) + b);
+  std::memcpy(c, &v, full ? sizeof v : bytes);
+}
+
+/// Row-tile driver of the paneled int8 tiers. `T` provides kRows, kAcc
+/// (accumulator registers per tile) and tile<R, P>(a, k, panels, stride,
+/// j0, n, row_sum, out), which writes the exact int32 dots of R rows of a
+/// against P consecutive panels (panel p at panels + p·stride bytes,
+/// output columns from j0) to out[R][P·kPanel]. OpenMP splits the row
+/// tiles; every element's dot is exact, so nothing depends on the split.
+template <class T>
+struct QPanelDriver {
+  using Finish = void (*)(const std::int32_t*, float, const float*, float*,
+                          std::size_t);
+
+  static constexpr std::size_t panels_for(std::size_t rows) {
+    const std::size_t p = T::kAcc / (rows * T::kVecs);
+    return p < 1 ? 1 : (p > 4 ? 4 : p);
+  }
+
+  template <std::size_t R>
+  static void slab(Finish fin, const std::int8_t* a, const float* a_scale,
+                   const std::int8_t* panels, std::size_t stride,
+                   float b_scale, const std::int32_t* row_sum,
+                   const float* bias, float* c, std::size_t k,
+                   std::size_t n) {
+    constexpr std::size_t P = panels_for(R);
+    alignas(64) std::int32_t acc[R * P * kPanel];
+    const std::size_t np = panel_count(n);
+    const auto emit = [&](std::size_t p0, std::size_t count) {
+      for (std::size_t r = 0; r < R; ++r) {
+        const float s = a_scale[r] * b_scale;
+        for (std::size_t p = 0; p < count; ++p) {
+          const std::size_t j = (p0 + p) * kPanel;
+          if (j >= n) break;
+          fin(acc + (r * count + p) * kPanel, s,
+              bias != nullptr ? bias + j : nullptr, c + r * n + j,
+              n - j < kPanel ? n - j : kPanel);
+        }
+      }
+    };
+    std::size_t p = 0;
+    for (; p + P <= np; p += P) {
+      T::template tile<R, P>(a, k, panels + p * stride, stride, p * kPanel,
+                             n, row_sum, acc);
+      emit(p, P);
+    }
+    for (; p < np; ++p) {
+      T::template tile<R, 1>(a, k, panels + p * stride, stride, p * kPanel,
+                             n, row_sum, acc);
+      emit(p, 1);
+    }
+  }
+
+  template <std::size_t R>
+  static void slab_upto(std::size_t rows, Finish fin, const std::int8_t* a,
+                        const float* a_scale, const std::int8_t* panels,
+                        std::size_t stride, float b_scale,
+                        const std::int32_t* row_sum, const float* bias,
+                        float* c, std::size_t k, std::size_t n) {
+    if constexpr (R > 1) {
+      if (rows < R)
+        return slab_upto<R - 1>(rows, fin, a, a_scale, panels, stride,
+                                b_scale, row_sum, bias, c, k, n);
+    }
+    slab<R>(fin, a, a_scale, panels, stride, b_scale, row_sum, bias, c, k,
+            n);
+  }
+
+  template <Act A>
+  static Finish finish_for(bool accumulate) {
+    return accumulate ? &quant_finish_row<A, true>
+                      : &quant_finish_row<A, false>;
+  }
+
+  static void gemm(Act act, bool accumulate, const std::int8_t* a,
+                   const float* a_scale, const std::int8_t* panels,
+                   float b_scale, const std::int32_t* row_sum,
+                   const float* bias, float* c, std::size_t m, std::size_t k,
+                   std::size_t n) {
+    Finish fin = finish_for<Act::kNone>(accumulate);
+    if (act == Act::kSigmoid) fin = finish_for<Act::kSigmoid>(accumulate);
+    if (act == Act::kTanh) fin = finish_for<Act::kTanh>(accumulate);
+    if (act == Act::kRelu) fin = finish_for<Act::kRelu>(accumulate);
+    const std::size_t stride = k * kPanel * T::kCodeBytes;
+    const std::size_t tiles = (m + T::kRows - 1) / T::kRows;
+#pragma omp parallel for schedule(static) if (parallel_worthwhile(m, k, n))
+    for (std::size_t t = 0; t < tiles; ++t) {
+      const std::size_t i = t * T::kRows;
+      const std::size_t rows = m - i < T::kRows ? m - i : T::kRows;
+      slab_upto<T::kRows>(rows, fin, a + i * k, a_scale + i, panels, stride,
+                          b_scale, row_sum, bias, c + i * n, k, n);
+    }
+  }
+};
+
 inline std::int32_t qdot_scalar(const std::int8_t* a, const std::int8_t* b,
                                 std::size_t k) {
   std::int32_t acc = 0;
@@ -107,7 +224,7 @@ void qgemm_nt_act(const std::int8_t* a, const float* a_scale,
     float* crow = c + i * n;
     const float s = a_scale[i] * b_scale;
     std::size_t j = 0;
-    for (; j + kColBlock <= n; j += kColBlock) {
+    for (; j + 4 <= n; j += 4) {
       const std::int8_t* b0 = b + (j + 0) * k;
       const std::int8_t* b1 = b + (j + 1) * k;
       const std::int8_t* b2 = b + (j + 2) * k;
@@ -138,4 +255,5 @@ void qgemm_nt_act(const std::int8_t* a, const float* a_scale,
   }
 }
 
+}  // namespace
 }  // namespace tgnn::kernels::detail

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "kernels/gemm.hpp"
-#include "kernels/gemm_dispatch.hpp"
 #include "tensor/ops.hpp"
 
 namespace tgnn::kernels {
@@ -12,14 +11,12 @@ void segment_attention_logits(const float* q, const float* k_rows,
                               std::span<const std::size_t> seg,
                               std::size_t emb, float* out) {
   const std::size_t n_segs = seg.size() - 1;
-  const detail::KernelTable& kt = detail::active_kernels();
   for (std::size_t s = 0; s < n_segs; ++s) {
     const std::size_t lo = seg[s], hi = seg[s + 1];
     if (hi == lo) continue;
     const std::size_t len = hi - lo;
     // Same m=1 gemm + scale pass the per-row path runs per node.
-    kt.gemm(detail::Act::kNone, /*accumulate=*/false, q + s * emb,
-            k_rows + lo * emb, nullptr, out + lo, 1, emb, len);
+    gemm_nt(q + s * emb, k_rows + lo * emb, out + lo, 1, emb, len);
     const float scale = 1.0f / std::sqrt(static_cast<float>(len));
     for (std::size_t r = lo; r < hi; ++r) out[r] *= scale;
   }

@@ -54,19 +54,24 @@ Tensor GruCell::forward(const Tensor& x, const Tensor& h, Cache* cache) const {
   return out;
 }
 
+kernels::GruWeights GruCell::weights() const {
+  return {&w_ir.value, &w_iz.value, &w_in.value, &b_ir.value,
+          &b_iz.value, &b_in.value, &w_hr.value, &w_hz.value,
+          &w_hn.value, &b_hr.value, &b_hz.value, &b_hn.value};
+}
+
 void GruCell::forward_into(const Tensor& x, const Tensor& h,
                            kernels::GruScratch& ws, Tensor& out,
                            kernels::Precision p) const {
-  const kernels::GruWeights w{
-      &w_ir.value, &w_iz.value, &w_in.value, &b_ir.value,
-      &b_iz.value, &b_in.value, &w_hr.value, &w_hz.value,
-      &w_hn.value, &b_hr.value, &b_hz.value, &b_hn.value};
   switch (p) {
     case kernels::Precision::kInt8:
-      kernels::qgru_forward_into(x, h, w, qw, ws, out);
+      kernels::qgru_forward_into(x, h, weights(), qw, ws, out);
       break;
     case kernels::Precision::kFp32:
-      kernels::gru_forward_into(x, h, w, ws, out);
+      if (pw.ready())
+        kernels::gru_forward_into(x, h, weights(), pw, ws, out);
+      else
+        kernels::gru_forward_into(x, h, weights(), ws, out);
       break;
   }
 }
@@ -82,6 +87,7 @@ void GruCell::prepare(kernels::Precision p) const {
       kernels::quantize_weight(w_hn.value, qw.w_hn);
       break;
     case kernels::Precision::kFp32:
+      pw.pack(weights());
       break;
   }
 }

@@ -53,17 +53,23 @@ class GruCell {
   /// Inference-only fused forward (kernels::gru_forward_into): writes s'
   /// into `out`, reusing `ws` gate buffers — zero steady-state allocations
   /// and vectorized GEMMs. No cache, so not usable for backward; parity
-  /// with forward() is pinned to 1e-6 by tests/kernels. Non-fp32 precisions
-  /// route to the quantized fused kernels and require prepare(p) first; the
-  /// produced state s' is always fp32 (VertexMemory never holds quantized
-  /// state).
+  /// with forward() is pinned to 1e-6 by tests/kernels. fp32 reads the
+  /// packed panels after prepare(kFp32), else packs the weights into `ws`
+  /// per call. int8 routes to the quantized fused kernels and requires
+  /// prepare(kInt8) first; the produced state s' is always fp32
+  /// (VertexMemory never holds quantized state).
   void forward_into(const Tensor& x, const Tensor& h, kernels::GruScratch& ws,
                     Tensor& out,
                     kernels::Precision p = kernels::Precision::kFp32) const;
 
-  /// One-time snapshot of the six weight matrices for a reduced-precision
-  /// path (biases stay fp32). kFp32 is a no-op; re-run after weight updates.
+  /// One-time snapshot of the six weight matrices for inference at
+  /// precision p (packed fp32 panels or int8; biases stay fp32). Re-run
+  /// after weight updates — a snapshot is rewritten only when its bytes
+  /// change.
   void prepare(kernels::Precision p) const;
+
+  /// Non-owning view of the 12 parameter tensors.
+  [[nodiscard]] kernels::GruWeights weights() const;
 
   /// Accumulates parameter grads; returns gradients w.r.t. x and h.
   InputGrads backward(const Cache& cache, const Tensor& dh_new);
@@ -83,8 +89,9 @@ class GruCell {
   // Hidden-to-hidden weights [hid, hid] and biases [hid].
   Parameter w_hr, w_hz, w_hn, b_hr, b_hz, b_hn;
 
-  // Reduced-precision weight snapshots (prepare()); derived caches, never
+  // Inference weight snapshots (prepare()); derived caches, never
   // checkpointed.
+  mutable kernels::PackedGruWeights pw;
   mutable kernels::QuantGruWeights qw;
 };
 

@@ -15,7 +15,25 @@ Tensor Linear::forward(const Tensor& x) const {
 }
 
 void Linear::forward_into(const Tensor& x, Tensor& y) const {
-  kernels::affine_into(x, w.value, b.value, y);
+  if (pw.ready())
+    kernels::affine_into(x, pw, b.value, y);
+  else
+    kernels::affine_into(x, w.value, b.value, y);
+}
+
+void Linear::forward_relu_into(const Tensor& x, Tensor& y) const {
+  if (pw.ready())
+    kernels::affine_relu_into(x, pw, b.value, y);
+  else
+    kernels::affine_relu_into(x, w.value, b.value, y);
+}
+
+void Linear::forward_row_into(std::span<const float> x,
+                              std::span<float> out) const {
+  if (pw.ready())
+    kernels::affine_row_into(x, pw, b.value, out);
+  else
+    kernels::affine_row_into(x, w.value, b.value, out);
 }
 
 void Linear::prepare(kernels::Precision p) const {
@@ -24,6 +42,7 @@ void Linear::prepare(kernels::Precision p) const {
       kernels::quantize_weight(w.value, qw);
       break;
     case kernels::Precision::kFp32:
+      kernels::pack_weight(w.value.data(), w.value.rows(), w.value.cols(), pw);
       break;
   }
 }

@@ -4,9 +4,11 @@
 // Backward: dX = dY W, dW += dY^T X, db += colsum(dY).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
+#include "kernels/gemm.hpp"
 #include "kernels/quant.hpp"
 #include "nn/parameter.hpp"
 #include "tensor/ops.hpp"
@@ -27,11 +29,17 @@ class Linear {
 
   /// Fused inference forward: y = X Wᵀ + b written into a caller-owned
   /// buffer (kernels::affine_into) — no allocation once y has capacity.
+  /// Reads the packed panels after prepare(kFp32), else packs W per call.
   void forward_into(const Tensor& x, Tensor& y) const;
+  /// Same with a fused ReLU epilogue.
+  void forward_relu_into(const Tensor& x, Tensor& y) const;
+  /// One row: out = x Wᵀ + b.
+  void forward_row_into(std::span<const float> x, std::span<float> out) const;
 
-  /// One-time weight snapshot for a reduced-precision inference path
-  /// (re-runs unconditionally, so call again if weights changed — e.g.
-  /// after a training step). kFp32 is a no-op; the fp32 weights always stay
+  /// One-time weight snapshot for inference at precision p: the packed
+  /// fp32 panels (kFp32) or the int8 snapshot (kInt8). Call again after
+  /// the weights change (a training step, a checkpoint load) — a snapshot
+  /// is rewritten only when its bytes change. The fp32 weights always stay
   /// the source of truth, so precisions can be switched freely.
   void prepare(kernels::Precision p) const;
 
@@ -59,9 +67,10 @@ class Linear {
   Parameter w;  ///< [out, in]
   Parameter b;  ///< [out]
 
-  // Reduced-precision weight snapshots (prepare()); mutable because they
-  // are derived caches of `w`, not model state — checkpoints never carry
-  // them and training never reads them.
+  // Inference weight snapshots (prepare()); mutable because they are
+  // derived caches of `w`, not model state — checkpoints never carry them
+  // and training never reads them.
+  mutable kernels::PackedWeight pw;
   mutable kernels::QuantWeight qw;
 };
 

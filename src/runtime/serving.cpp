@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
-#include <string_view>
 #include <thread>
 
 #include "kernels/quant.hpp"
@@ -116,13 +115,13 @@ ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
   {
     // Degradation ladder, anchored at the backend's base numeric mode.
     // One rung means "never degrade": the option is off, the backend
-    // already serves int8, or int8 runs on the generic kernel tier, where
-    // it is slower than fp32 — overload must never buy slower numerics.
+    // already serves int8, or the int8 kernel tier in use is no faster
+    // than fp32 — overload must never buy slower numerics.
     util::MutexLock lk(mu_);
     ladder_.push_back(backend_.precision());
     if (opts_.degrade_under_overload &&
         ladder_.front() == kernels::Precision::kFp32 &&
-        std::string_view(kernels::quant_arch_name()) != "generic")
+        kernels::int8_faster_than_fp32())
       ladder_.push_back(kernels::Precision::kInt8);
   }
   if (opts_.pipelined) {

@@ -85,7 +85,7 @@ void VanillaAttention::forward_into(std::span<const float> f_self,
     std::fill(fo, fo + emb, 0.0f);
   }
   std::copy(f_self.begin(), f_self.end(), fo + emb);
-  kernels::affine_row_into(ws.fo_in.row(0), wo.w.value, wo.b.value, out);
+  wo.forward_row_into(ws.fo_in.row(0), out);
 }
 
 void VanillaAttention::forward_batch_into(
@@ -145,7 +145,7 @@ void VanillaAttention::forward_batch_into(
       wo.forward_q_into(ws.qfo, out);
       break;
     case kernels::Precision::kFp32:
-      kernels::affine_into(ws.fo_in, wo.w.value, wo.b.value, out);
+      wo.forward_into(ws.fo_in, out);
       break;
   }
 }

@@ -55,8 +55,8 @@ const Tensor& Decoder::forward_into(const Tensor& x, InferScratch& ws,
       l2.forward_q_into(ws.qh, ws.logits);
       break;
     case kernels::Precision::kFp32:
-      kernels::affine_relu_into(x, l1.w.value, l1.b.value, ws.hidden);
-      kernels::affine_into(ws.hidden, l2.w.value, l2.b.value, ws.logits);
+      l1.forward_relu_into(x, ws.hidden);
+      l2.forward_into(ws.hidden, ws.logits);
       break;
   }
   return ws.logits;
@@ -65,6 +65,11 @@ const Tensor& Decoder::forward_into(const Tensor& x, InferScratch& ws,
 void Decoder::prepare(kernels::Precision p) const {
   l1.prepare(p);
   l2.prepare(p);
+}
+
+void Decoder::refresh_prepared() const {
+  if (l1.pw.ready()) prepare(kernels::Precision::kFp32);
+  if (l1.qw.ready()) prepare(kernels::Precision::kInt8);
 }
 
 double Decoder::score_with(InferScratch& ws, std::span<const float> hu,

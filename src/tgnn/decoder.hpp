@@ -62,8 +62,10 @@ class Decoder {
                              kernels::Precision p =
                                  kernels::Precision::kFp32) const;
 
-  /// Snapshot l1/l2 for a reduced-precision path (see nn::Linear).
+  /// Snapshot l1/l2 for inference at precision p (see nn::Linear).
   void prepare(kernels::Precision p) const;
+  /// Re-prepares every precision already prepared (after a weight change).
+  void refresh_prepared() const;
 
   /// score(), allocation-free: reuses `ws` across calls.
   [[nodiscard]] double score_with(InferScratch& ws, std::span<const float> hu,

@@ -62,10 +62,16 @@ void TgnModel::f_prime(std::span<const float> s, std::span<const float> f_node,
 }
 
 void TgnModel::prepare_precision(kernels::Precision p) const {
-  if (p == kernels::Precision::kFp32) return;
   updater_.prepare(p);
   if (vanilla_) vanilla_->prepare(p);
   if (sat_) sat_->prepare(p);
+}
+
+void TgnModel::refresh_prepared() const {
+  // prepare_precision snapshots every layer together, so the GRU's
+  // snapshots say which precisions are live.
+  if (updater_.gru.pw.ready()) prepare_precision(kernels::Precision::kFp32);
+  if (updater_.gru.qw.ready()) prepare_precision(kernels::Precision::kInt8);
 }
 
 }  // namespace tgnn::core

@@ -60,12 +60,16 @@ class TgnModel {
   void f_prime(std::span<const float> s, std::span<const float> f_node,
                std::span<float> out) const;
 
-  /// One-time reduced-precision snapshot of the inference hot path's
-  /// weights (GRU + attention projections). kFp32 is a no-op. node_proj /
-  /// f_prime stay fp32: they run per row in the gather stage, where dynamic
-  /// quantization has nothing to amortize against. Derived-cache mutation
-  /// only, so const — callable on shared model references.
+  /// One-time snapshot of the inference hot path's weights (GRU +
+  /// attention projections) at precision p: packed fp32 panels or int8.
+  /// node_proj / f_prime stay unpacked fp32: they run per row in the
+  /// gather stage. Derived-cache mutation only, so const — callable on
+  /// shared model references; rewrites a snapshot only when its bytes
+  /// change.
   void prepare_precision(kernels::Precision p) const;
+  /// Re-prepares every precision already prepared — call after the
+  /// weights change under live engines (load_checkpoint does).
+  void refresh_prepared() const;
 
   [[nodiscard]] nn::ParamStore& params() { return params_; }
 

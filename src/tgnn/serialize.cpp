@@ -138,7 +138,11 @@ bool load_checkpoint(const std::string& path, TgnModel& model,
   if (!read_pod(f, count) || count != params.size())
     throw std::runtime_error("load_checkpoint: parameter count mismatch");
 
-  for (auto* p : params) {
+  // Read and check the whole file before the first write: a rejected file
+  // leaves the model exactly as it was.
+  std::vector<std::vector<float>> staged(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const nn::Parameter* p = params[i];
     std::uint32_t name_len = 0;
     if (!read_pod(f, name_len))
       throw std::runtime_error("load_checkpoint: truncated file");
@@ -156,8 +160,9 @@ bool load_checkpoint(const std::string& path, TgnModel& model,
                                p->name + "' (file has '" + name + "' " +
                                std::to_string(rows) + "x" +
                                std::to_string(cols) + ")");
-    f.read(reinterpret_cast<char*>(p->value.data()),
-           static_cast<std::streamsize>(p->value.size() * sizeof(float)));
+    staged[i].resize(p->value.size());
+    f.read(reinterpret_cast<char*>(staged[i].data()),
+           static_cast<std::streamsize>(staged[i].size() * sizeof(float)));
     if (!f) throw std::runtime_error("load_checkpoint: truncated data");
   }
 
@@ -173,12 +178,17 @@ bool load_checkpoint(const std::string& path, TgnModel& model,
     if (!read_pod(f, e))
       throw std::runtime_error("load_checkpoint: truncated LUT edges");
   auto* lut = model.lut_encoder();
-  if (lut && !edges.empty()) {
-    lut->restore_edges(edges);
-  } else if (lut && edges.empty()) {
+  if (lut && edges.empty())
     throw std::runtime_error(
         "load_checkpoint: model expects LUT edges but file has none");
-  }
+
+  for (std::size_t i = 0; i < params.size(); ++i)
+    std::copy(staged[i].begin(), staged[i].end(), params[i]->value.data());
+  if (lut) lut->restore_edges(edges);
+  // Engines built before the load read the prepared weight snapshots;
+  // rebuild the ones that exist so they serve the loaded weights.
+  model.refresh_prepared();
+  if (decoder) decoder->refresh_prepared();
   return true;
 }
 
@@ -264,43 +274,15 @@ void write_state(std::ofstream& f, const RuntimeState& state,
   }
 }
 
-}  // namespace
-
-bool save_state(const std::string& path, const RuntimeState& state,
-                std::uint64_t stream_cursor) {
-  return write_file_atomically(path, [&](std::ofstream& f) {
-    write_state(f, state, stream_cursor);
-  });
-}
-
-bool load_state(const std::string& path, RuntimeState& state,
-                std::uint64_t& stream_cursor, std::uint64_t num_edges) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return false;
-  const std::uint64_t size = file_size(f);
-  char magic[4];
-  f.read(magic, 4);
-  std::uint32_t version = 0;
-  if (!f || std::memcmp(magic, kStateMagic, 4) != 0 ||
-      !read_pod(f, version) || version != kStateVersion)
-    state_fail("bad magic/version");
-
-  std::uint64_t num_nodes = 0, mem_dim = 0, raw_dim = 0, fifo_cap = 0;
-  std::uint8_t use_fifo = 0;
-  if (!read_pod(f, num_nodes) || !read_pod(f, mem_dim) ||
-      !read_pod(f, raw_dim) || !read_pod(f, use_fifo) ||
-      !read_pod(f, fifo_cap) || !read_pod(f, stream_cursor))
-    state_fail("truncated header");
-  if (num_nodes != state.memory.num_nodes() || mem_dim != state.memory.dim() ||
-      raw_dim != state.mailbox.raw_dim())
-    state_fail("state shape mismatch (nodes/dims differ from checkpoint)");
-  if ((use_fifo != 0) != (state.table != nullptr))
-    state_fail("sampler kind mismatch (FIFO table vs unbounded finder)");
-  if (state.table != nullptr && fifo_cap != state.table->capacity())
-    state_fail("FIFO capacity mismatch");
-
-  state.reset();
-
+/// The state file after its header: memory rows, mailbox rows, the
+/// consume-once flags, neighbor rows. Every entry is checked; with `apply`
+/// false nothing is written, so a first pass proves the whole file good.
+void read_state_body(std::ifstream& f, std::uint64_t size,
+                     RuntimeState& state, std::uint64_t num_edges,
+                     bool apply) {
+  const std::uint64_t num_nodes = state.memory.num_nodes();
+  const std::uint64_t mem_dim = state.memory.dim();
+  const std::uint64_t raw_dim = state.mailbox.raw_dim();
   std::uint64_t rows = 0;
   if (!read_pod(f, rows)) state_fail("truncated memory section");
   std::vector<float> buf(mem_dim);
@@ -312,7 +294,7 @@ bool load_state(const std::string& path, RuntimeState& state,
     f.read(reinterpret_cast<char*>(buf.data()),
            static_cast<std::streamsize>(mem_dim * sizeof(float)));
     if (!f) state_fail("truncated memory row");
-    state.memory.set(static_cast<graph::NodeId>(v), buf, ts);
+    if (apply) state.memory.set(static_cast<graph::NodeId>(v), buf, ts);
   }
 
   if (!read_pod(f, rows)) state_fail("truncated mailbox section");
@@ -325,12 +307,14 @@ bool load_state(const std::string& path, RuntimeState& state,
     f.read(reinterpret_cast<char*>(buf.data()),
            static_cast<std::streamsize>(raw_dim * sizeof(float)));
     if (!f) state_fail("truncated mailbox row");
-    state.mailbox.put(static_cast<graph::NodeId>(v), buf, ts);
+    if (apply) state.mailbox.put(static_cast<graph::NodeId>(v), buf, ts);
   }
 
-  f.read(reinterpret_cast<char*>(state.mail_valid.data()),
-         static_cast<std::streamsize>(state.mail_valid.size()));
+  std::vector<std::uint8_t> valid(state.mail_valid.size());
+  f.read(reinterpret_cast<char*>(valid.data()),
+         static_cast<std::streamsize>(valid.size()));
   if (!f) state_fail("truncated mail_valid section");
+  if (apply) std::copy(valid.begin(), valid.end(), state.mail_valid.begin());
 
   if (!read_pod(f, rows)) state_fail("truncated neighbor section");
   for (std::uint64_t i = 0; i < rows; ++i) {
@@ -360,6 +344,7 @@ bool load_state(const std::string& path, RuntimeState& state,
       h.node = static_cast<graph::NodeId>(node);
       h.eid = static_cast<graph::EdgeId>(eid);
     }
+    if (!apply) continue;
     if (state.table != nullptr) {
       for (const auto& h : hits)
         state.table->insert(static_cast<graph::NodeId>(v), h.node, h.eid,
@@ -369,6 +354,53 @@ bool load_state(const std::string& path, RuntimeState& state,
                                     std::move(hits));
     }
   }
+}
+
+}  // namespace
+
+bool save_state(const std::string& path, const RuntimeState& state,
+                std::uint64_t stream_cursor) {
+  return write_file_atomically(path, [&](std::ofstream& f) {
+    write_state(f, state, stream_cursor);
+  });
+}
+
+bool load_state(const std::string& path, RuntimeState& state,
+                std::uint64_t& stream_cursor, std::uint64_t num_edges) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) return false;
+  const std::uint64_t size = file_size(f);
+  char magic[4];
+  f.read(magic, 4);
+  std::uint32_t version = 0;
+  if (!f || std::memcmp(magic, kStateMagic, 4) != 0 ||
+      !read_pod(f, version) || version != kStateVersion)
+    state_fail("bad magic/version");
+
+  std::uint64_t num_nodes = 0, mem_dim = 0, raw_dim = 0, fifo_cap = 0;
+  std::uint64_t cursor = 0;
+  std::uint8_t use_fifo = 0;
+  if (!read_pod(f, num_nodes) || !read_pod(f, mem_dim) ||
+      !read_pod(f, raw_dim) || !read_pod(f, use_fifo) ||
+      !read_pod(f, fifo_cap) || !read_pod(f, cursor))
+    state_fail("truncated header");
+  if (num_nodes != state.memory.num_nodes() || mem_dim != state.memory.dim() ||
+      raw_dim != state.mailbox.raw_dim())
+    state_fail("state shape mismatch (nodes/dims differ from checkpoint)");
+  if ((use_fifo != 0) != (state.table != nullptr))
+    state_fail("sampler kind mismatch (FIFO table vs unbounded finder)");
+  if (state.table != nullptr && fifo_cap != state.table->capacity())
+    state_fail("FIFO capacity mismatch");
+
+  // Two passes over the body: the first only checks every entry, so a
+  // rejected file leaves `state` as it was; the second applies.
+  const std::streampos body = f.tellg();
+  read_state_body(f, size, state, num_edges, /*apply=*/false);
+  state.reset();
+  f.clear();
+  f.seekg(body);
+  read_state_body(f, size, state, num_edges, /*apply=*/true);
+  stream_cursor = cursor;
   return true;
 }
 

@@ -139,7 +139,7 @@ void SimplifiedAttention::aggregate_into(std::span<const float> f_self,
     std::fill(fo, fo + emb, 0.0f);
   }
   std::copy(f_self.begin(), f_self.end(), fo + emb);
-  kernels::affine_row_into(ws.fo_in.row(0), wo.w.value, wo.b.value, out);
+  wo.forward_row_into(ws.fo_in.row(0), out);
 }
 
 void SimplifiedAttention::aggregate_batch_into(
@@ -185,7 +185,7 @@ void SimplifiedAttention::aggregate_batch_into(
       wo.forward_q_into(ws.qfo, out);
       break;
     case kernels::Precision::kFp32:
-      kernels::affine_into(ws.fo_in, wo.w.value, wo.b.value, out);
+      wo.forward_into(ws.fo_in, out);
       break;
   }
 }

@@ -124,8 +124,10 @@ TEST(BatchedKernels, SegmentKernelsMatchPerSegmentLoops) {
                                                           -1.0f);
   kernels::segment_weighted_rowsum(alpha.data(), v.data(), seg, emb,
                                    out.data(), stride);
+  // Row pointers by arithmetic: the trailing empty segment starts one past
+  // the last row, which Tensor::row would (rightly) reject.
   for (std::size_t s = 0; s < n_segs; ++s)
-    kernels::weighted_rowsum(ref.data() + seg[s], v.row(seg[s]).data(),
+    kernels::weighted_rowsum(ref.data() + seg[s], v.data() + seg[s] * emb,
                              out_ref.data() + s * stride,
                              seg[s + 1] - seg[s], emb);
   EXPECT_EQ(out, out_ref);

@@ -201,8 +201,12 @@ TEST(QuantDispatch, QgemmMatchesExactIntegerReferenceBitForBit) {
   Tensor c(m, n);
   // k = stride: the padded codes are zero, hence exact no-ops (VNNI's
   // offset-domain correction included) — pinned by this very comparison.
+  // The tier reads its own packed panels, or the row-major codes when it
+  // packs none.
+  const std::int8_t* codes =
+      qw.panels.empty() ? qw.data.data() : qw.panels.data();
   tab.qgemm(detail::Act::kNone, /*accumulate=*/false, qa.data.data(),
-            qa.scale.data(), qw.data.data(), qw.scale, qw.row_sum.data(),
+            qa.scale.data(), codes, qw.scale, qw.row_sum.data(),
             bias.data(), c.data(), m, qa.stride, n);
 
   for (std::size_t i = 0; i < m; ++i)

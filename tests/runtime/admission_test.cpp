@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -254,9 +253,9 @@ TEST(Admission, DegradesUnderSustainedOverloadAndRecovers) {
   ServingEngine server(*backend, opts);
   EXPECT_EQ(server.stats().precision, kernels::Precision::kFp32);
   // The ladder's one rung below fp32 is int8, offered only on a kernel
-  // tier where int8 is faster than fp32; the generic tier has no rung.
-  const bool int8_rung =
-      std::string_view(kernels::quant_arch_name()) != "generic";
+  // tier where int8 is faster than fp32 (avx512-vnni); the avx2 and
+  // generic tiers have no rung.
+  const bool int8_rung = kernels::int8_faster_than_fp32();
 
   // Saturate: blocking submits keep the queue at capacity, so batch
   // formations observe a pressured queue and walk the ladder down.

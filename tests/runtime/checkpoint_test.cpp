@@ -258,6 +258,43 @@ TEST(Checkpoint, RestoreRejectsNeighborCountBeforeAllocating) {
                                          std::uint64_t{1} << 40);
 }
 
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+TEST(Checkpoint, RejectedRestoreLeavesTheTargetUntouched) {
+  // A state file whose LAST neighbor entry is bad: every row before it
+  // parses, so a loader that applied rows as it read them would leave the
+  // target half-restored. The target's state must be byte-for-byte what
+  // it was before the call.
+  const auto ds = tiny_ds();
+  const auto model = tiny_model(ds);
+  const std::string path = ckpt_path("bad_last_eid");
+  auto source = make_backend("cpu", model, ds);
+  fast_forward(*source, 300);
+  ASSERT_TRUE(core::save_state(path, *source->runtime_state(), 300));
+  std::vector<char> bytes = read_bytes(path);
+  // The file ends with the last entry's (node, eid, ts): eid sits 16 bytes
+  // before the end.
+  const std::uint64_t bad_eid = 0xFFFFFFF0u;
+  ASSERT_GE(bytes.size(), 16u);
+  std::memcpy(bytes.data() + bytes.size() - 16, &bad_eid, sizeof bad_eid);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  auto target = make_backend("cpu", model, ds);
+  fast_forward(*target, 120);
+  const std::string before = ckpt_path("untouched_before");
+  const std::string after = ckpt_path("untouched_after");
+  ASSERT_TRUE(core::save_state(before, *target->runtime_state(), 120));
+  EXPECT_THROW(restore_backend(*target, path), std::runtime_error);
+  ASSERT_TRUE(core::save_state(after, *target->runtime_state(), 120));
+  EXPECT_EQ(read_bytes(before), read_bytes(after));
+}
+
 TEST(Checkpoint, RestoreRejectsMissingFile) {
   const auto ds = tiny_ds();
   const auto model = tiny_model(ds);

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "data/synthetic.hpp"
 #include "tensor/ops.hpp"
@@ -48,6 +52,53 @@ class TempFile {
  private:
   std::string path_;
 };
+
+TEST(Serialize, RejectedCheckpointLeavesTheModelUntouched) {
+  // A checkpoint whose LUT section (the last one, after every parameter)
+  // is corrupt: the load must throw and leave every parameter of the
+  // model and the decoder bit-for-bit as it was.
+  const auto ds = tiny_ds();
+  const auto cfg = student_cfg(ds);
+  TgnModel a(cfg, 1);
+  a.fit_lut(collect_dt_samples(ds, ds.train_range()));
+  Rng drng(2);
+  Decoder dec_a(cfg, drng);
+  TempFile ckpt("tgnn_ckpt_bad_lut.bin");
+  ASSERT_TRUE(save_checkpoint(ckpt.path(), a, &dec_a));
+  std::vector<char> bytes;
+  {
+    std::ifstream in(ckpt.path(), std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::size_t edges = a.lut_encoder()->edges().size();
+  const std::size_t count_at = bytes.size() - edges * sizeof(double) - 8;
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  std::memcpy(bytes.data() + count_at, &huge, sizeof huge);
+  {
+    std::ofstream out(ckpt.path(), std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  TgnModel b(cfg, 99);
+  b.fit_lut({1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0});
+  Rng drng2(77);
+  Decoder dec_b(cfg, drng2);
+  std::vector<Tensor> before;
+  for (auto* p : b.params().params()) before.push_back(p->value);
+  for (auto* p : dec_b.parameters()) before.push_back(p->value);
+  EXPECT_THROW(load_checkpoint(ckpt.path(), b, &dec_b), std::runtime_error);
+  std::size_t i = 0;
+  for (auto* p : b.params().params())
+    EXPECT_EQ(std::memcmp(p->value.data(), before[i++].data(),
+                          p->value.size() * sizeof(float)),
+              0)
+        << p->name;
+  for (auto* p : dec_b.parameters())
+    EXPECT_EQ(std::memcmp(p->value.data(), before[i++].data(),
+                          p->value.size() * sizeof(float)),
+              0)
+        << p->name;
+}
 
 TEST(Serialize, RoundTripRestoresInferenceExactly) {
   const auto ds = tiny_ds();
